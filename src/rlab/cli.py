@@ -4,8 +4,7 @@ Verbs: describe, dual, curvature, leray-grid, leray-rays, laplace, norms,
 compare-lemma, weight-equiv, counterexample.
 
 Exit codes: 0 success, 1 usage error, 2 domain hypothesis not met,
-3 numeric non-convergence.  The RLAB_THREADS environment variable caps the
-worker count of grid sweeps.
+3 numeric non-convergence.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import numpy as np
 
 from . import diagnostics, geometry, leray, transform
 from .errors import HypothesisNotMet, RlabError
-from .numerics import QuadConfig
 from .reporting import emit_csv, emit_json, write_text
 
 EXIT_OK = 0
@@ -55,8 +53,6 @@ def _build_parser() -> _Parser:
                            help="domain spec JSON, or @file")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--tol", type=float, default=1e-10,
-                       help="relative quadrature tolerance")
 
     p = sub.add_parser("describe", help="profile, limits, membership flags")
     common(p)
@@ -97,8 +93,7 @@ def _build_parser() -> _Parser:
 
 
 def _geom(args) -> geometry.DomainGeometry:
-    cfg = QuadConfig(abs_tol=args.tol * 1e-2, rel_tol=args.tol)
-    return geometry.domain_from_spec(_load_arg(args.domain), cfg)
+    return geometry.domain_from_spec(_load_arg(args.domain))
 
 
 def _coeffs(args) -> transform.CoefficientGrid:

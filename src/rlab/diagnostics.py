@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, HypothesisNotMet
 from .geometry import DomainGeometry
-from .numerics import QuadConfig, log_gamma
+from .numerics import log_gamma
 from .transform import exp_norm_sq
 
 __all__ = [
@@ -155,7 +155,6 @@ class WeightEquivalenceReport:
 def verify_weight_equivalence(geom: DomainGeometry,
                               r_range: tuple = (2.0, 50.0),
                               t_samples: Sequence[float] = (0.1, 0.3, 0.5, 0.7, 0.9),
-                              cfg: QuadConfig | None = None,
                               factor: float = 1.5) -> WeightEquivalenceReport:
     """Stability of rho(r, t) = e^{-2r} (r ||(r1*, r2*)(t)||)^{3/2} E(r, t).
 
@@ -174,7 +173,7 @@ def verify_weight_equivalence(geom: DomainGeometry,
         log_z = 0.5 * float(np.logaddexp(2.0 * geom.log_r1_star(t),
                                          2.0 * geom.log_r2_star(t)))
         for r in rs:
-            e = exp_norm_sq(geom, float(r), float(t), cfg)
+            e = exp_norm_sq(geom, float(r), float(t))
             vals.append(math.exp(-2.0 * r
                                  + 1.5 * (math.log(r) + log_z)
                                  + e.log_magnitude))

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import (DomainError, ExponentOutOfRange, NonEvaluableProfile)
 from .exprdsl import Expr, parse_expr
-from .numerics import QuadConfig, extrapolate_limit
+from .numerics import extrapolate_limit
 
 __all__ = [
     "ExponentProfile",
@@ -103,7 +103,7 @@ class ExponentProfile:
 
 def egg_profile(p: float, a1: float = 1.0, a2: float = 1.0) -> ExponentProfile:
     """Profile of the model domain a1|z1|^p + a2|z2|^p < 1."""
-    if p <= 1:
+    if not p > 1:
         raise ExponentOutOfRange("egg exponent must exceed 1")
     if a1 <= 0 or a2 <= 0:
         raise DomainError("egg weights must be positive")
@@ -131,8 +131,11 @@ def tabulated_profile(s_samples, p_samples, b1: float = 1.0,
     """
     from scipy.interpolate import PchipInterpolator
 
-    s_arr = np.asarray(s_samples, dtype=float)
-    p_arr = np.asarray(p_samples, dtype=float)
+    try:
+        s_arr = np.asarray(s_samples, dtype=float)
+        p_arr = np.asarray(p_samples, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"tabulated samples must be numbers: {exc}") from exc
     if s_arr.ndim != 1 or s_arr.shape != p_arr.shape or s_arr.size < 2:
         raise DomainError("tabulated profile needs matching 1-D s and p arrays")
     if np.any(np.diff(s_arr) <= 0):
@@ -226,13 +229,12 @@ class DomainGeometry:
     """
 
     def __init__(self, profile: ExponentProfile,
-                 quad_cfg: QuadConfig | None = None,
                  _log_r1_xy: Callable | None = None,
-                 _log_r2_xy: Callable | None = None,
-                 _parent: "DomainGeometry | None" = None):
+                 _log_r2_xy: Callable | None = None):
         self.profile = profile
-        self.quad_cfg = quad_cfg or QuadConfig()
-        self._parent = _parent
+        # (level, k, w, log r1, log r2) at the finest tanh-sinh level
+        # evaluated so far; read and filled by leray._radial_log_nodes
+        self.node_cache: tuple | None = None
         const_p = profile.constant_p
         if _log_r1_xy is not None:
             self._lr1_xy = _log_r1_xy
@@ -411,10 +413,9 @@ class DomainGeometry:
         }
 
 
-def domain_from_exponent(profile: ExponentProfile,
-                         quad_cfg: QuadConfig | None = None) -> DomainGeometry:
+def domain_from_exponent(profile: ExponentProfile) -> DomainGeometry:
     """Build the geometry determined by an exponent profile."""
-    return DomainGeometry(profile, quad_cfg)
+    return DomainGeometry(profile)
 
 
 def dual_complement(geom: DomainGeometry) -> DomainGeometry:
@@ -443,10 +444,9 @@ def dual_complement(geom: DomainGeometry) -> DomainGeometry:
         star = ExponentProfile("conjugate", 1.0 / src.b1, 1.0 / src.b2,
                                p_star, meta={"base_kind": src.kind})
 
-    return DomainGeometry(star, geom.quad_cfg,
+    return DomainGeometry(star,
                           _log_r1_xy=geom.log_r1_star_xy,
-                          _log_r2_xy=geom.log_r2_star_xy,
-                          _parent=geom)
+                          _log_r2_xy=geom.log_r2_star_xy)
 
 
 def curvatures_at(geom: DomainGeometry, s: float) -> CurvatureTriple:
@@ -508,8 +508,17 @@ def classify_boundary(geom: DomainGeometry) -> dict:
 # JSON interface
 # ---------------------------------------------------------------------------
 
-def domain_from_spec(spec: dict | str,
-                     quad_cfg: QuadConfig | None = None) -> DomainGeometry:
+def _number(spec: dict, key: str, default: float | None = None) -> float:
+    """A numeric field of a domain spec; raises KeyError if a required one
+    is missing."""
+    value = spec[key] if default is None else spec.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DomainError(f"domain field {key!r} must be a number, "
+                          f"not {value!r}")
+    return float(value)
+
+
+def domain_from_spec(spec: dict | str) -> DomainGeometry:
     """Build a geometry from a JSON object (or JSON text).
 
     Recognized forms:
@@ -527,15 +536,19 @@ def domain_from_spec(spec: dict | str,
     kind = spec["kind"]
     try:
         if kind == "egg":
-            prof = egg_profile(spec["p"], spec.get("a1", 1.0), spec.get("a2", 1.0))
+            prof = egg_profile(_number(spec, "p"), _number(spec, "a1", 1.0),
+                               _number(spec, "a2", 1.0))
         elif kind == "expr":
-            prof = expression_profile(spec["p_check"],
-                                      spec.get("b1", 1.0), spec.get("b2", 1.0))
+            if not isinstance(spec["p_check"], str):
+                raise DomainError("domain field 'p_check' must be a string")
+            prof = expression_profile(spec["p_check"], _number(spec, "b1", 1.0),
+                                      _number(spec, "b2", 1.0))
         elif kind == "table":
             prof = tabulated_profile(spec["s"], spec["p"],
-                                     spec.get("b1", 1.0), spec.get("b2", 1.0))
+                                     _number(spec, "b1", 1.0),
+                                     _number(spec, "b2", 1.0))
         else:
             raise DomainError(f"unknown domain kind {kind!r}")
     except KeyError as exc:
         raise DomainError(f"domain spec missing field {exc.args[0]!r}") from exc
-    return domain_from_exponent(prof, quad_cfg)
+    return domain_from_exponent(prof)

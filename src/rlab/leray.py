@@ -13,17 +13,15 @@ carried in log space; gamma alone exceeds double range near m1 + m2 = 300.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, IndexOutOfTable
 from .geometry import DomainGeometry, dual_complement
-from .numerics import (QuadConfig, extrapolate_limit, log_gamma,
-                       tanh_sinh_nodes_sym)
+from .numerics import (extrapolate_limit, log_gamma, nested_log_sums,
+                       tanh_sinh_indexed)
 
 __all__ = [
     "MomentTable",
@@ -39,40 +37,32 @@ __all__ = [
     "axis_limit_probe",
 ]
 
-_BASE_LEVEL = 6  # ~400 nodes; moment integrals accurate to ~1e-14
-
-
-def worker_count() -> int:
-    """Worker cap for grid sweeps, from the RLAB_THREADS environment variable."""
-    raw = os.environ.get("RLAB_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    return max(1, n) if n > 0 else min(4, os.cpu_count() or 1)
+_LEVEL = 7  # ~1600 nodes; moment integrals accurate to ~1e-14
+_CONVERGED = 1e-7  # largest level-7 vs level-6 gap in log I taken as converged
 
 
 # ---------------------------------------------------------------------------
-# node caches
+# node cache
 # ---------------------------------------------------------------------------
 
 def _radial_log_nodes(geom: DomainGeometry, level: int):
-    """(log w, log r1, log r2) at the tanh-sinh nodes, cached on the geometry."""
-    cache = getattr(geom, "_radial_node_cache", None)
-    if cache is None:
-        cache = {}
-        setattr(geom, "_radial_node_cache", cache)
-    if level not in cache:
-        x, xm, w = tanh_sinh_nodes_sym(level)
-        cache[level] = (np.log(w), geom.log_r1_xy(x, xm), geom.log_r2_xy(x, xm))
-    return cache[level]
+    """(log w, log r1, log r2, k) at the tanh-sinh nodes of a level.
 
-
-def _log_moments_row(logw, lr1, lr2, m1: int, m2s: np.ndarray) -> np.ndarray:
-    base = logw + 2.0 * m1 * lr1
-    mat = base[None, :] + (2.0 * m2s[:, None]) * lr2[None, :]
-    mx = np.max(mat, axis=1, keepdims=True)
-    return (np.log(np.sum(np.exp(mat - mx), axis=1)) + mx[:, 0])
+    geom.node_cache holds the finest level evaluated so far.  A coarser
+    level is its subset with k a multiple of 2^(finest - level), weights
+    scaled by exactly that power of two before the log, so the values equal
+    a direct evaluation of the coarser level bit for bit.  A finer request
+    replaces the cache.
+    """
+    cache = geom.node_cache
+    if cache is None or cache[0] < level:
+        k, x, xm, w = tanh_sinh_indexed(level)
+        cache = (level, k, w, geom.log_r1_xy(x, xm), geom.log_r2_xy(x, xm))
+        geom.node_cache = cache
+    finest, k, w, lr1, lr2 = cache
+    step = 1 << (finest - level)
+    sel = k % step == 0
+    return np.log(w[sel] * step), lr1[sel], lr2[sel], k[sel] // step
 
 
 # ---------------------------------------------------------------------------
@@ -110,44 +100,32 @@ def _egg_log_moments(geom: DomainGeometry, M1: int, M2: int):
                                                            (M1 + 1, M2 + 1))))
 
 
-def moment_table(geom: DomainGeometry, M1: int, M2: int,
-                 cfg: QuadConfig | None = None) -> MomentTable:
+def moment_table(geom: DomainGeometry, M1: int, M2: int) -> MomentTable:
     """Tabulate log I(m1, m2) for the degree box 0..M1 x 0..M2.
 
     Constant-exponent domains use the Beta closed form
-    I = b1^{2m1} b2^{2m2} B(2m1/p + 1, 2m2/p + 1); otherwise a fixed
-    tanh-sinh rule is compared across two refinement levels for the error
+    I = b1^{2m1} b2^{2m2} B(2m1/p + 1, 2m2/p + 1); otherwise the tanh-sinh
+    rule at level 7, with the level-6 sum from the same terms as the error
     estimate.  Non-converged entries are flagged, never fatal.
     """
     if M1 < 0 or M2 < 0:
         raise DomainError("degree bounds must be nonnegative")
-    cfg = cfg or QuadConfig()
 
     if geom.profile.constant_p is not None:
         log_i = _egg_log_moments(geom, M1, M2)
         err = np.zeros_like(log_i)
         return MomentTable(geom, M1, M2, log_i, err, np.ones_like(log_i, bool))
 
+    logw, lr1, lr2, k = _radial_log_nodes(geom, _LEVEL)
     m2s = np.arange(M2 + 1, dtype=float)
-    grids = []
-    for level in (_BASE_LEVEL, _BASE_LEVEL + 1):
-        logw, lr1, lr2 = _radial_log_nodes(geom, level)
-
-        def row(m1):
-            return _log_moments_row(logw, lr1, lr2, m1, m2s)
-
-        nw = worker_count()
-        if nw > 1 and M1 >= 8:
-            with ThreadPoolExecutor(max_workers=nw) as pool:
-                rows = list(pool.map(row, range(M1 + 1)))
-        else:
-            rows = [row(m1) for m1 in range(M1 + 1)]
-        grids.append(np.vstack(rows))
-
-    log_i = grids[1]
-    err = np.abs(grids[1] - grids[0])
-    tol = max(cfg.rel_tol, 1e-9)
-    return MomentTable(geom, M1, M2, log_i, err, err <= 100.0 * tol)
+    log_i = np.empty((M1 + 1, M2 + 1))
+    coarse = np.empty_like(log_i)
+    for m1 in range(M1 + 1):
+        base = logw + 2.0 * m1 * lr1
+        terms = base[None, :] + (2.0 * m2s[:, None]) * lr2[None, :]
+        log_i[m1], coarse[m1] = nested_log_sums(terms, k)
+    err = np.abs(log_i - coarse)
+    return MomentTable(geom, M1, M2, log_i, err, err <= _CONVERGED)
 
 
 # ---------------------------------------------------------------------------
@@ -179,12 +157,11 @@ class LerayNormGrid:
 
 
 def leray_norm_grid(geom: DomainGeometry, M1: int, M2: int,
-                    cfg: QuadConfig | None = None,
                     dual: DomainGeometry | None = None) -> LerayNormGrid:
     """log ||L||^2 over the degree box, from the two moment tables."""
     dual = dual or dual_complement(geom)
-    tab = moment_table(geom, M1, M2, cfg)
-    tab_star = moment_table(dual, M1, M2, cfg)
+    tab = moment_table(geom, M1, M2)
+    tab_star = moment_table(dual, M1, M2)
     m1 = np.arange(M1 + 1, dtype=float)[:, None]
     m2 = np.arange(M2 + 1, dtype=float)[None, :]
     lg = log_gamma_factor(np.broadcast_to(m1, (M1 + 1, M2 + 1)),
@@ -197,7 +174,7 @@ def leray_norm_grid(geom: DomainGeometry, M1: int, M2: int,
 
 def _leray_entries(geom: DomainGeometry, dual: DomainGeometry,
                    m1s: np.ndarray, m2s: np.ndarray,
-                   level: int = _BASE_LEVEL + 1) -> np.ndarray:
+                   level: int = _LEVEL) -> np.ndarray:
     """log ||L||^2 at arbitrary (possibly large) degree pairs."""
     m1s = np.asarray(m1s, dtype=float)
     m2s = np.asarray(m2s, dtype=float)
@@ -211,8 +188,8 @@ def _leray_entries(geom: DomainGeometry, dual: DomainGeometry,
         log_i = 2 * m1s * lb1 + 2 * m2s * lb2 + log_beta(2 * m1s / p + 1, 2 * m2s / p + 1)
         log_is = -2 * m1s * lb1 - 2 * m2s * lb2 + log_beta(2 * m1s / q + 1, 2 * m2s / q + 1)
         return 2.0 * log_gamma_factor(m1s, m2s) + log_i + log_is
-    logw, lr1, lr2 = _radial_log_nodes(geom, level)
-    logws, lr1s, lr2s = _radial_log_nodes(dual, level)
+    logw, lr1, lr2, _k = _radial_log_nodes(geom, level)
+    logws, lr1s, lr2s, _k = _radial_log_nodes(dual, level)
     for i in np.ndindex(m1s.shape):
         a, b = m1s[i], m2s[i]
         t1 = logw + 2 * a * lr1 + 2 * b * lr2
@@ -283,8 +260,8 @@ def _grid_sup(grid: LerayNormGrid, M: int):
 
 
 def boundedness_report(geom: DomainGeometry, M: int,
-                       rays: Sequence[float] = (0.25, 1.0, 4.0),
-                       cfg: QuadConfig | None = None) -> BoundednessReport:
+                       rays: Sequence[float] = (0.25, 1.0, 4.0)
+                       ) -> BoundednessReport:
     """Empirical boundedness verdict from a degree grid and ray sequences.
 
     A growing grid sup (full-degree sup well above the quarter-degree sup)
@@ -295,7 +272,7 @@ def boundedness_report(geom: DomainGeometry, M: int,
     if M < 16:
         raise DomainError("boundedness_report needs M >= 16")
     dual = dual_complement(geom)
-    grid = leray_norm_grid(geom, M, M, cfg, dual=dual)
+    grid = leray_norm_grid(geom, M, M, dual=dual)
     sup_small, _ = _grid_sup(grid, M // 4)
     sup_full, argmax = _grid_sup(grid, M)
     growth = sup_full / sup_small
@@ -342,8 +319,7 @@ class AxisProbe:
     converged: bool
 
 
-def axis_limit_probe(geom: DomainGeometry, m0: int, N_max: int,
-                     cfg: QuadConfig | None = None) -> AxisProbe:
+def axis_limit_probe(geom: DomainGeometry, m0: int, N_max: int) -> AxisProbe:
     """Empirical limit of ||L_{m0, n}||^2 as n grows.
 
     Only Cauchy-style convergence detection; there is no closed form for

@@ -1,33 +1,35 @@
 """Shared numerical kernels.
 
-Adaptive quadrature (Gauss-Kronrod and tanh-sinh double-exponential),
-log-space scalars, log-Gamma/Beta, the modified Bessel function I0 in log
-space, and sequence-limit extrapolation.  Everything here is pure and
-reentrant; moment-type integrands elsewhere in the library are evaluated as
-exp(sum of m_i * log r_i) through these helpers so that degrees up to a few
-hundred stay inside double range.
+The nested tanh-sinh rule on (0, 1), log-Gamma/Beta and log I0 (from
+scipy.special), log-space scalars, and sequence-limit extrapolation.
+Everything here is pure and reentrant.  Every integral over the boundary
+parameter elsewhere in the library is one sum over the nodes of a tanh-sinh
+level, with moment-type integrands evaluated as exp(sum of m_i * log r_i) so
+that degrees up to a few hundred stay inside double range.
+
+Tanh-sinh levels nest (Takahasi & Mori 1974; Bailey, Jeyabalan & Li 2005):
+the nodes of level L - 1 are the nodes of level L with even index k, carrying
+exactly twice the weight.  So one pass over the terms of level L also gives
+the level L - 1 sum, and the gap between the two is the error estimate.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
-from scipy import integrate as _sci_integrate
 from scipy.special import expit as _expit
+from scipy.special import gammaln as _gammaln
+from scipy.special import i0e as _i0e
 
 from .errors import DomainError
 
 __all__ = [
-    "QuadConfig",
-    "QuadResult",
     "LogValue",
-    "log_add",
-    "integrate",
-    "tanh_sinh_nodes",
+    "tanh_sinh_indexed",
     "tanh_sinh_nodes_sym",
+    "nested_log_sums",
     "log_gamma",
     "log_beta",
     "log_factorial",
@@ -37,109 +39,29 @@ __all__ = [
 ]
 
 
-# ---------------------------------------------------------------------------
-# configuration / result containers
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class QuadConfig:
-    """Tolerances and scheme selection for 1-D quadrature."""
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 200
-    scheme: str = "double_exponential"  # or "adaptive_nested"
-
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise DomainError("quadrature tolerances must be positive")
-        if self.max_subdivisions < 8:
-            raise DomainError("max_subdivisions must be >= 8")
-        if self.scheme not in ("double_exponential", "adaptive_nested"):
-            raise DomainError(f"unknown quadrature scheme {self.scheme!r}")
-
-
-@dataclass(frozen=True)
-class QuadResult:
-    value: float
-    err_est: float
-    converged: bool = True
-
-
-# ---------------------------------------------------------------------------
-# log-space scalars
-# ---------------------------------------------------------------------------
-
 @dataclass(frozen=True)
 class LogValue:
-    """A real number stored as (sign, log|value|).
-
-    sign == 0 encodes an exact zero; log_magnitude is ignored in that case.
-    """
+    """A real number stored as (log|value|, sign); sign == 0 encodes zero."""
 
     log_magnitude: float
     sign: int = 1
 
-    @classmethod
-    def from_float(cls, x: float) -> "LogValue":
-        if x == 0.0:
-            return cls(-math.inf, 0)
-        return cls(math.log(abs(x)), 1 if x > 0 else -1)
-
-    def to_float(self) -> float:
-        if self.sign == 0:
-            return 0.0
-        return self.sign * math.exp(self.log_magnitude)
-
-    def __mul__(self, other: "LogValue") -> "LogValue":
-        if self.sign == 0 or other.sign == 0:
-            return LogValue(-math.inf, 0)
-        return LogValue(self.log_magnitude + other.log_magnitude,
-                        self.sign * other.sign)
-
-    def scaled(self, log_factor: float) -> "LogValue":
-        if self.sign == 0:
-            return self
-        return LogValue(self.log_magnitude + log_factor, self.sign)
-
-
-def log_add(a: LogValue, b: LogValue) -> LogValue:
-    """Sum of two signed log-space numbers."""
-    if a.sign == 0:
-        return b
-    if b.sign == 0:
-        return a
-    hi, lo = (a, b) if a.log_magnitude >= b.log_magnitude else (b, a)
-    d = lo.log_magnitude - hi.log_magnitude  # <= 0
-    if a.sign == b.sign:
-        return LogValue(hi.log_magnitude + math.log1p(math.exp(d)), hi.sign)
-    em = -math.expm1(d)  # 1 - e^d, accurate for d near 0
-    if em == 0.0:
-        return LogValue(-math.inf, 0)
-    return LogValue(hi.log_magnitude + math.log(em), hi.sign)
-
-
-def logsumexp_w(log_terms: np.ndarray, axis=None) -> np.ndarray:
-    """logsumexp that tolerates -inf entries (empty contributions)."""
-    m = np.max(log_terms, axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    out = np.log(np.sum(np.exp(log_terms - m), axis=axis)) + np.squeeze(m, axis=axis or ())
-    return out
-
 
 # ---------------------------------------------------------------------------
-# tanh-sinh (double exponential) rules
+# the nested tanh-sinh rule
 # ---------------------------------------------------------------------------
 
 _TS_TMAX = 6.5  # |t| beyond which weights underflow double range
 
 
-def tanh_sinh_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tanh-sinh abscissae and weights on the open interval (0, 1).
+def tanh_sinh_indexed(level: int):
+    """Tanh-sinh rule on (0, 1) with step h = 2^-level, as (k, x, 1 - x, w).
 
-    h = 2^-level.  Nodes mapping to exactly 0 or 1 in double precision are
-    dropped; the double-exponential weight decay makes the truncation error
-    negligible relative to the rule's own accuracy.
+    Node k sits at t = k h.  The complement 1 - x is computed directly, to
+    full relative accuracy where it underflows the spacing of doubles
+    around 1; integrands singular (or steep) at the right endpoint need it.
+    Nodes whose x or 1 - x is 0 in double precision are dropped; the
+    double-exponential weight decay makes that truncation negligible.
     """
     h = 2.0 ** (-level)
     k = np.arange(-int(_TS_TMAX / h), int(_TS_TMAX / h) + 1)
@@ -149,141 +71,45 @@ def tanh_sinh_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
         # sigmoid form keeps relative accuracy for nodes near 0, which
         # matters for integrands with an endpoint singularity there
         x = _expit(u)
-        w = 0.25 * np.pi * h * np.cosh(t) / np.cosh(0.5 * u) ** 2
-    keep = (x > 0.0) & (x < 1.0) & (w > 1e-320)
-    return x[keep], w[keep]
-
-
-def tanh_sinh_nodes_sym(level: int):
-    """Like tanh_sinh_nodes but also returns 1 - x to full relative accuracy.
-
-    Near the right endpoint 1 - x underflows the spacing of doubles around
-    1; integrands singular (or steep) there need the complement directly.
-    """
-    h = 2.0 ** (-level)
-    k = np.arange(-int(_TS_TMAX / h), int(_TS_TMAX / h) + 1)
-    t = k * h
-    with np.errstate(over="ignore"):
-        u = np.pi * np.sinh(t)
-        x = _expit(u)
         xm = _expit(-u)
         w = 0.25 * np.pi * h * np.cosh(t) / np.cosh(0.5 * u) ** 2
     keep = (x > 0.0) & (xm > 0.0) & (w > 1e-320)
-    return x[keep], xm[keep], w[keep]
+    return k[keep], x[keep], xm[keep], w[keep]
 
 
-def _expsinh_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exp-sinh abscissae/weights for (0, inf); for exponentially decaying f."""
-    h = 2.0 ** (-level)
-    k = np.arange(-int(_TS_TMAX / h), int(_TS_TMAX / h) + 1)
-    t = k * h
-    with np.errstate(over="ignore"):
-        x = np.exp(np.sinh(t))
-        w = h * np.cosh(t) * x
-    keep = np.isfinite(x) & (x > 0.0) & np.isfinite(w) & (w > 1e-320) & (x < 1e300)
-    return x[keep], w[keep]
+def tanh_sinh_nodes_sym(level: int):
+    """Tanh-sinh abscissae x, complements 1 - x and weights on (0, 1)."""
+    _k, x, xm, w = tanh_sinh_indexed(level)
+    return x, xm, w
 
 
-def _de_sum(f: Callable, x: np.ndarray, w: np.ndarray) -> float:
-    with np.errstate(invalid="ignore", over="ignore"):
-        fx = np.asarray(f(x), dtype=float)
-    fx = np.where(np.isfinite(fx), fx, 0.0)
-    return float(np.dot(fx, w))
+def nested_log_sums(log_terms: np.ndarray, k: np.ndarray):
+    """log of a tanh-sinh sum and of the next coarser level's sum.
 
-
-def _integrate_de(f: Callable, a: float, b: float, cfg: QuadConfig) -> QuadResult:
-    if math.isinf(b):
-        if a != 0.0:
-            g = lambda u: f(u + a)
-        else:
-            g = f
-        nodes = _expsinh_nodes
-        scale = lambda x: x
-        jac = 1.0
-    else:
-        width = b - a
-        g = lambda u: f(a + width * u)
-        nodes = tanh_sinh_nodes
-        jac = width
-        scale = None
-
-    prev = None
-    max_level = max(4, min(12, int(math.log2(cfg.max_subdivisions)) + 3))
-    for level in range(3, max_level + 1):
-        x, w = nodes(level)
-        s = jac * _de_sum(g, x, w)
-        if prev is not None:
-            err = abs(s - prev)
-            tol = max(cfg.abs_tol, cfg.rel_tol * abs(s))
-            if err <= tol:
-                return QuadResult(s, err, True)
-        prev = s
-    return QuadResult(prev, abs(s - prev) if prev is not None else math.inf, False)
-
-
-def _integrate_adaptive(f: Callable, a: float, b: float, cfg: QuadConfig) -> QuadResult:
-    with np.errstate(all="ignore"):
-        val, err, *rest = _sci_integrate.quad(
-            f, a, b, epsabs=cfg.abs_tol, epsrel=cfg.rel_tol,
-            limit=cfg.max_subdivisions, full_output=1)[:2] + (None,)
-    converged = err <= max(cfg.abs_tol, cfg.rel_tol * abs(val)) * 10
-    return QuadResult(float(val), float(err), bool(converged))
-
-
-def integrate(f: Callable, a: float, b: float, cfg: QuadConfig | None = None) -> QuadResult:
-    """Integrate f over (a, b); b may be inf.
-
-    Returns the best estimate with an error estimate; converged=False marks
-    an exhausted refinement budget (no exception is raised).
+    log_terms[..., i] is log(w_i f(x_i)) at the nodes of one level, whose
+    indices are k.  Both sums reduce the last axis and share one
+    exponentiation; the coarser sum takes the even-k terms, doubled.
+    Returns (fine, coarse).
     """
-    cfg = cfg or QuadConfig()
-    if cfg.scheme == "adaptive_nested":
-        return _integrate_adaptive(f, a, b, cfg)
-    return _integrate_de(f, a, b, cfg)
+    mx = np.max(log_terms, axis=-1, keepdims=True)
+    e = np.exp(log_terms - mx)
+    mx = mx[..., 0]
+    fine = np.log(np.sum(e, axis=-1)) + mx
+    coarse = np.log(2.0 * np.sum(e[..., k % 2 == 0], axis=-1)) + mx
+    return fine, coarse
 
 
 # ---------------------------------------------------------------------------
 # special functions
 # ---------------------------------------------------------------------------
 
-_LANCZOS_G = 607.0 / 128.0
-_LANCZOS_C = np.array([
-    0.99999999999999709182,
-    57.156235665862923517, -59.597960355475491248, 14.136097974741747174,
-    -0.49191381609762019978, 0.33994649984811888699e-4,
-    0.46523628927048575665e-4, -0.98374475304879564677e-4,
-    0.15808870322491248884e-3, -0.21026444172410488319e-3,
-    0.21743961811521264320e-3, -0.16431810653676389022e-3,
-    0.84418223983852743293e-4, -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-])
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-
-
-def _lanczos_log_gamma(x: np.ndarray) -> np.ndarray:
-    # valid for x >= 0.5
-    a = np.full_like(x, _LANCZOS_C[0])
-    for k in range(1, 15):
-        a = a + _LANCZOS_C[k] / (x + (k - 1))
-    t = x + _LANCZOS_G - 0.5
-    return _LOG_SQRT_2PI + np.log(a) + (x - 0.5) * np.log(t) - t
-
-
 def log_gamma(x):
-    """log Gamma(x) for x > 0 (Lanczos approximation, reflection below 1/2)."""
+    """log Gamma(x) for x > 0."""
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
     if np.any(x <= 0.0):
         raise DomainError("log_gamma requires x > 0")
-    out = np.empty_like(x)
-    small = x < 0.5
-    if np.any(small):
-        xs = x[small]
-        out[small] = (np.log(np.pi / np.sin(np.pi * xs))
-                      - _lanczos_log_gamma(1.0 - xs))
-    out[~small] = _lanczos_log_gamma(x[~small])
-    return float(out[0]) if scalar else out
+    out = _gammaln(x)
+    return float(out) if x.ndim == 0 else out
 
 
 def log_beta(x, y):
@@ -298,49 +124,16 @@ def log_factorial(n):
     return log_gamma(n + 1.0)
 
 
-# I0 asymptotic series coefficients a_k = ((2k-1)!!)^2 / (k! 8^k)
-_I0_ASYM = [1.0]
-for _k in range(1, 22):
-    _I0_ASYM.append(_I0_ASYM[-1] * (2 * _k - 1) ** 2 / (8.0 * _k))
-_I0_ASYM = np.array(_I0_ASYM)
-
-
 def bessel_i0_log(x):
-    """log I0(x) for x >= 0; power series below 30, asymptotic above.
+    """log I0(x) for x >= 0, as log(I0(x) e^-x) + x.
 
     Stays finite for arguments far past the overflow point of I0 itself.
     """
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
     if np.any(x < 0.0):
         raise DomainError("bessel_i0_log requires x >= 0")
-    out = np.zeros_like(x)
-
-    small = x <= 30.0
-    if np.any(small):
-        xs = x[small]
-        q = 0.25 * xs * xs
-        term = np.ones_like(xs)
-        acc = np.ones_like(xs)
-        for k in range(1, 80):
-            term = term * q / (k * k)
-            acc = acc + term
-            if np.all(term <= 1e-18 * acc):
-                break
-        out[small] = np.log(acc)
-
-    big = ~small
-    if np.any(big):
-        xb = x[big]
-        acc = np.zeros_like(xb)
-        pw = np.ones_like(xb)
-        for ak in _I0_ASYM:
-            acc = acc + ak * pw
-            pw = pw / xb
-        out[big] = xb - 0.5 * np.log(2.0 * np.pi * xb) + np.log(acc)
-
-    return float(out[0]) if scalar else out
+    out = np.log(_i0e(x)) + x
+    return float(out) if x.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DomainError, IndexOutOfTable
 from .geometry import DomainGeometry, dual_complement
 from .leray import MomentTable, _radial_log_nodes
-from .numerics import (LogValue, QuadConfig, bessel_i0_log, log_gamma,
+from .numerics import (LogValue, bessel_i0_log, log_gamma, nested_log_sums,
                        tanh_sinh_nodes_sym)
 
 __all__ = [
@@ -60,11 +60,22 @@ class CoefficientGrid:
     @classmethod
     def from_json(cls, text: str | dict) -> "CoefficientGrid":
         obj = json.loads(text) if isinstance(text, str) else text
+        items = obj.get("entries", []) if isinstance(obj, dict) else None
+        if not isinstance(items, list) or not all(
+                isinstance(item, dict) for item in items):
+            raise DomainError("a coefficient grid must be an object whose "
+                              "'entries' is a list of objects")
         entries = {}
-        for item in obj.get("entries", []):
-            key = (int(item["m1"]), int(item["m2"]))
-            entries[key] = complex(float(item.get("re", 0.0)),
-                                   float(item.get("im", 0.0)))
+        try:
+            for item in items:
+                key = (int(item["m1"]), int(item["m2"]))
+                entries[key] = complex(float(item.get("re", 0.0)),
+                                       float(item.get("im", 0.0)))
+        except KeyError as exc:
+            raise DomainError(
+                f"coefficient entry missing field {exc.args[0]!r}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DomainError(f"invalid coefficient entry: {exc}") from exc
         return cls(obj.get("side", "hardy"), entries)
 
     def to_json(self) -> dict:
@@ -139,26 +150,24 @@ def invert_laplace(geom: DomainGeometry, t: CoefficientGrid,
 # explicit-weight Bergman norm (nu)
 # ---------------------------------------------------------------------------
 
-def _log_j_integrals(dual: DomainGeometry, pairs, level: int,
-                     h_variant: bool) -> dict:
-    """log of J(m1,m2) = int r1*^{2m1} r2*^{2m2} (r1*^2 + r2*^2)^{3/4} ds.
+def _log_j_integrals(dual: DomainGeometry, pairs, h_variant: bool):
+    """log of J(m1,m2) = int r1*^{2m1} r2*^{2m2} (r1*^2 + r2*^2)^{3/4} ds
+    at tanh-sinh levels 7 and 6, as two arrays over pairs.
 
     The dual radii are the radial profiles of the dual-complement geometry.
     With h_variant the norm factor ||z||^{3/2} is replaced by H(z)^{3/2},
     which drops the (r1*^2 + r2*^2)^{3/4} factor entirely.
     """
-    logw, lr1s, lr2s = _radial_log_nodes(dual, level)
+    logw, lr1s, lr2s, k = _radial_log_nodes(dual, 7)
     extra = 0.0 if h_variant else 0.75 * np.logaddexp(2.0 * lr1s, 2.0 * lr2s)
-    out = {}
-    for (m1, m2) in pairs:
+    out = np.empty((2, len(pairs)))
+    for i, (m1, m2) in enumerate(pairs):
         t = logw + 2.0 * m1 * lr1s + 2.0 * m2 * lr2s + extra
-        mx = t.max()
-        out[(m1, m2)] = float(mx + math.log(np.sum(np.exp(t - mx))))
+        out[:, i] = nested_log_sums(t, k)
     return out
 
 
 def bergman_nu_norm_sq(geom: DomainGeometry, beta: CoefficientGrid,
-                       cfg: QuadConfig | None = None,
                        convention: str = "exact_parametrized",
                        h_variant: bool = False,
                        dual: DomainGeometry | None = None) -> NormReport:
@@ -170,6 +179,9 @@ def bergman_nu_norm_sq(geom: DomainGeometry, beta: CoefficientGrid,
 
     paper_equivalent: the model series sum |beta|^2 ((M + 1)!)^2 I*(m1, m2),
     comparable to the exact value up to fixed constants.
+
+    In both conventions err_est sums each term times the gap between the
+    level-7 and level-6 tanh-sinh values of its log integral.
     """
     if beta.side != "bergman":
         raise DomainError("bergman_nu_norm_sq expects a bergman-side grid")
@@ -177,25 +189,23 @@ def bergman_nu_norm_sq(geom: DomainGeometry, beta: CoefficientGrid,
         raise DomainError(f"unknown convention {convention!r}")
     dual = dual or dual_complement(geom)
     pairs = beta.support
+    paper = convention == "paper_equivalent"
+    # the paper's series uses the plain dual moment I*
+    logs7, logs6 = _log_j_integrals(dual, pairs, h_variant or paper)
     terms = {}
-    if convention == "paper_equivalent":
-        logs = _log_j_integrals(dual, pairs, 7, h_variant=True)  # plain I*
-        for key in pairs:
-            m = key[0] + key[1]
-            lg = 2.0 * log_gamma(m + 2.0)
-            terms[key] = abs(beta.entries[key]) ** 2 * math.exp(lg + logs[key])
-        return _sum_report(terms, 0.0, "paper_equivalent")
-
-    logs_a = _log_j_integrals(dual, pairs, 6, h_variant)
-    logs_b = _log_j_integrals(dual, pairs, 7, h_variant)
     err = 0.0
-    for key in pairs:
+    for key, log_j, log_j6 in zip(pairs, logs7.tolist(), logs6.tolist()):
         m = key[0] + key[1]
-        log_radial = log_gamma(2.0 * m + 3.5) - (2.0 * m + 3.5) * math.log(2.0)
-        terms[key] = 0.25 * abs(beta.entries[key]) ** 2 * math.exp(
-            log_radial + logs_b[key])
-        err += terms[key] * abs(logs_b[key] - logs_a[key])
-    tag = "exact_parametrized" + ("/H32" if h_variant else "")
+        amp_sq = abs(beta.entries[key]) ** 2
+        if paper:
+            terms[key] = amp_sq * math.exp(2.0 * log_gamma(m + 2.0) + log_j)
+        else:
+            log_radial = (log_gamma(2.0 * m + 3.5)
+                          - (2.0 * m + 3.5) * math.log(2.0))
+            terms[key] = 0.25 * amp_sq * math.exp(log_radial + log_j)
+        err += terms[key] * abs(log_j - log_j6)
+    tag = ("paper_equivalent" if paper
+           else "exact_parametrized" + ("/H32" if h_variant else ""))
     return _sum_report(terms, err, tag)
 
 
@@ -204,7 +214,7 @@ def bergman_nu_norm_sq(geom: DomainGeometry, beta: CoefficientGrid,
 # ---------------------------------------------------------------------------
 
 def exp_norm_sq(geom: DomainGeometry, r: float, t: float,
-                cfg: QuadConfig | None = None, level: int = 6) -> LogValue:
+                level: int = 6) -> LogValue:
     """log-space squared boundary norm of the exponential e^{<z, .>}
     at z = r (r1*(t), r2*(t)):
 
@@ -217,7 +227,7 @@ def exp_norm_sq(geom: DomainGeometry, r: float, t: float,
         raise DomainError("exp_norm_sq needs r >= 0")
     if not (0.0 <= t <= 1.0):
         raise DomainError("t must lie in [0, 1]")
-    logw, lr1, lr2 = _radial_log_nodes(geom, level)
+    logw, lr1, lr2, _k = _radial_log_nodes(geom, level)
     lr1t = float(geom.log_r1_star(t)) if t > 0 else -math.inf
     lr2t = float(geom.log_r2_star(t)) if t < 1 else -math.inf
     a1 = np.exp(math.log(2.0 * r) + lr1 + lr1t) if (r > 0 and lr1t > -math.inf) \
@@ -234,7 +244,7 @@ def _omega_log_weight_grid(geom: DomainGeometry, rs: np.ndarray,
                            t_nodes, level: int) -> np.ndarray:
     """log E(r, t) on the outer product of r values and t nodes."""
     x, xm, _w = t_nodes
-    logw, lr1, lr2 = _radial_log_nodes(geom, level)
+    logw, lr1, lr2, _k = _radial_log_nodes(geom, level)
     lr1t = geom.log_r1_star_xy(x, xm)
     lr2t = geom.log_r2_star_xy(x, xm)
     out = np.empty((rs.size, x.size))
@@ -253,8 +263,8 @@ def _omega_log_weight_grid(geom: DomainGeometry, rs: np.ndarray,
     return out
 
 
-def bergman_omega_norm_sq(geom: DomainGeometry, beta: CoefficientGrid,
-                          cfg: QuadConfig | None = None) -> NormReport:
+def bergman_omega_norm_sq(geom: DomainGeometry,
+                          beta: CoefficientGrid) -> NormReport:
     """Squared norm against the reciprocal exponential-moment weight.
 
     By rotation invariance monomials are orthogonal and

@@ -56,6 +56,33 @@ def test_missing_at_file(capsys):
     assert code == 1
 
 
+def _one_line_error(err):
+    return (err.startswith("error:") and len(err.strip().splitlines()) == 1
+            and "Traceback" not in err)
+
+
+@pytest.mark.parametrize("domain", [
+    '{"kind": "egg", "p": "3"}',
+    '{"kind": "egg", "p": "nan"}',
+    '{"kind": "table", "s": {}, "p": [2, 3]}',
+])
+def test_non_numeric_domain_field(capsys, domain):
+    code, _out, err = run(capsys, "describe", "--domain", domain)
+    assert code == 1
+    assert _one_line_error(err)
+
+
+@pytest.mark.parametrize("coeffs", [
+    "[1,2]",
+    '{"side": "hardy", "entries": [{"m1": "x", "m2": 0}]}',
+])
+def test_malformed_coefficients(capsys, coeffs):
+    code, _out, err = run(capsys, "norms", "--domain", BALL,
+                          "--coeffs", coeffs)
+    assert code == 1
+    assert _one_line_error(err)
+
+
 # ---------------------------------------------------------------------------
 # verbs
 # ---------------------------------------------------------------------------

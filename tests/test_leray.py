@@ -13,9 +13,9 @@ import pytest
 from rlab.errors import DomainError, IndexOutOfTable
 from rlab.geometry import (domain_from_exponent, dual_complement, egg_profile,
                            expression_profile)
-from rlab.leray import (axis_limit_probe, boundedness_report, leray_norm_grid,
-                        log_gamma_factor, moment_table, ray_limit_predictor,
-                        worker_count)
+from rlab.leray import (_radial_log_nodes, axis_limit_probe,
+                        boundedness_report, leray_norm_grid, log_gamma_factor,
+                        moment_table, ray_limit_predictor)
 
 EX_PROFILE = "2+1/log(10/s)"
 
@@ -199,23 +199,27 @@ def test_axis_probe(ball):
 
 
 # ---------------------------------------------------------------------------
-# threading
+# node cache and determinism
 # ---------------------------------------------------------------------------
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("RLAB_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("RLAB_THREADS", "junk")
-    assert worker_count() >= 1
-    monkeypatch.delenv("RLAB_THREADS")
-    assert worker_count() >= 1
+def test_node_cache_serves_coarse_levels_exactly():
+    # a coarse level read off the level-7 cache equals a direct evaluation
+    # of that level bit for bit; a finer request replaces the cache
+    cached = domain_from_exponent(expression_profile(EX_PROFILE))
+    direct = domain_from_exponent(expression_profile(EX_PROFILE))
+    _radial_log_nodes(cached, 7)
+    for level in (4, 6):
+        want = _radial_log_nodes(direct, level)
+        assert direct.node_cache[0] == level
+        for got, ref in zip(_radial_log_nodes(cached, level), want):
+            assert np.array_equal(got, ref)
+    assert cached.node_cache[0] == 7
 
 
-def test_moment_table_thread_determinism(monkeypatch):
-    geom1 = domain_from_exponent(expression_profile(EX_PROFILE))
-    monkeypatch.setenv("RLAB_THREADS", "1")
-    tab1 = moment_table(geom1, 16, 16)
-    geom2 = domain_from_exponent(expression_profile(EX_PROFILE))
-    monkeypatch.setenv("RLAB_THREADS", "4")
-    tab4 = moment_table(geom2, 16, 16)
-    assert np.array_equal(tab1.log_I, tab4.log_I)
+def test_moment_table_rerun_determinism():
+    tab1 = moment_table(domain_from_exponent(expression_profile(EX_PROFILE)),
+                        16, 16)
+    tab2 = moment_table(domain_from_exponent(expression_profile(EX_PROFILE)),
+                        16, 16)
+    assert np.array_equal(tab1.log_I, tab2.log_I)
+    assert np.array_equal(tab1.err, tab2.err)
