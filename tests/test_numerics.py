@@ -44,6 +44,8 @@ ANALYTIC_INTEGRALS = [
     (lambda x: x ** 2 * np.exp(-2 * x), 0.0, math.inf, 0.25),
     (lambda x: np.exp(-x) / np.sqrt(x), 0.0, math.inf, math.sqrt(math.pi)),
     (lambda x: x ** 3 * np.exp(-x), 0.0, math.inf, 6.0),
+    (lambda r: r ** 2.5 * np.exp(-2.0 * r), 0.0, math.inf,
+     math.gamma(3.5) / 2.0 ** 3.5),
 ]
 
 
@@ -72,6 +74,16 @@ def test_error_estimates_are_honest():
             honest += true_err <= 10.0 * max(abs(fine - coarse), 1e-15)
             cases += 1
     assert honest >= math.ceil(0.95 * cases)
+
+
+@pytest.mark.parametrize("case", range(len(ANALYTIC_INTEGRALS)))
+def test_level_7_accuracy(case):
+    # endpoint singularities and half-lines included; the level-6 sum from
+    # the same terms agrees, so the rule reports convergence
+    f, a, b, exact = ANALYTIC_INTEGRALS[case]
+    fine, coarse = nested_log_sums(*_log_terms(f, a, b, 7))
+    assert abs(fine - math.log(exact)) < 1e-12
+    assert abs(fine - coarse) < 1e-12
 
 
 def test_nested_log_sums_match_direct_levels():
