@@ -9,7 +9,9 @@ with two axis intercepts b1, b2.  The radial profiles are
 and the dual (polar complement) domain has conjugate exponent p/(p-1) with
 reciprocal intercepts; its radial profiles satisfy r1*(s) r1(s) = s and
 r2*(s) r2(s) = 1 - s pointwise.  All radial evaluation happens in log space
-so that high powers r1^{2 m} stay representable.
+so that high powers r1^{2 m} stay representable.  For a non-constant
+exponent, one call evaluates all its points in a single cumulative pass of
+Gauss panels over u = log s (or u = log(1 - s)); nothing is cached.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -159,42 +160,66 @@ def tabulated_profile(s_samples, p_samples, b1: float = 1.0,
 # exponent integrals (u = log t substitution)
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=4)
-def _gl_rule(n: int = 32):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
+_GX, _GW = np.polynomial.legendre.leggauss(32)  # one Gauss panel
+_PIECE_CHUNK = 1024  # Gauss pieces per batch of profile evaluations
 
 
 def _panel_edges(a: float, b: float) -> np.ndarray:
-    """Panel edges on [a, b]: unit-length interior panels plus dyadically
-    graded panels toward both endpoints.
+    """Panel edges on [a, b], dyadically graded toward both endpoints.
 
     The grading absorbs integrands that are bounded but only log-smooth at
     an endpoint (profiles like 2 + 1/log(10/s) produce exactly that after
     the log substitution)."""
-    width = b - a
-    graded = [width * 2.0 ** (-k) for k in range(1, 48)]
-    left = [a + g for g in reversed(graded)]
-    right = [b - g for g in graded]
-    mid_lo, mid_hi = left[-1], right[0]
-    n_mid = max(1, int(math.ceil(mid_hi - mid_lo)))
-    middle = list(np.linspace(mid_lo, mid_hi, n_mid + 1))[1:-1]
-    return np.array([a] + left + middle + right + [b])
+    graded = (b - a) * 2.0 ** -np.arange(1, 48)
+    return np.concatenate(([a], a + graded[::-1], b - graded, [b]))
 
 
-def _panelled_integral(f: Callable, a: float, b: float) -> float:
-    """Integral of f over [a, b] by composite 32-point Gauss panels."""
-    if a == b:
-        return 0.0
-    sign = 1.0
-    if a > b:
-        a, b, sign = b, a, -1.0
-    gx, gw = _gl_rule()
-    edges = _panel_edges(a, b)
-    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-    half = (0.5 * (edges[1:] - edges[:-1]))[:, None]
-    u = mid + half * gx[None, :]
-    return sign * float(np.sum(half * gw[None, :] * f(u)))
+def _suffix_sums(pieces: np.ndarray) -> np.ndarray:
+    """sum(pieces[i:]) for i = 0 .. n, overwriting pieces: a running sum of
+    the reversed pieces b, each step's rounding error recovered exactly
+    (TwoSum) and added back, in place to bound memory."""
+    b = pieces[::-1]
+    run = np.cumsum(b)
+    err = run[1:] - run[:-1]             # the part of b[i] that was added
+    b[1:] -= err                         # what b[i] lost
+    np.subtract(run[1:], err, out=err)   # the part of run[i-1] that was kept
+    np.subtract(run[:-1], err, out=err)  # what run[i-1] lost
+    err += b[1:]
+    run[1:] += np.cumsum(err, out=err)
+    return np.append(run[::-1], 0.0)
+
+
+def _integrals_to_zero(f: Callable, x: np.ndarray, knots) -> np.ndarray:
+    """int_{log x}^0 f(u) du for every x in (0, 1], in one pass.
+
+    The sorted log-queries and log-knots (the x where f is not smooth)
+    split the graded panels of [min log x, 0] into pieces; each piece gets one
+    32-point Gauss panel and suffix sums give every integral at once.
+    x <= 0 gives inf.  Peak memory is about four arrays the size of x.
+    """
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    # log 1 = 0 stands in for x >= 1 (integral 0), and for x <= 0 and nan,
+    # whose results are set last
+    u = np.log(np.where((flat > 0.0) & (flat < 1.0), flat, 1.0))
+    a = float(u.min(initial=0.0))
+    knots = np.log(knots[(knots > math.exp(a)) & (knots < 1.0)])
+    # repeated edges only add empty pieces, so they are not removed
+    edges = np.concatenate((u, _panel_edges(a, 0.0), knots))
+    edges.sort()
+    idx = np.searchsorted(edges, u).astype(np.int32)  # half the memory
+    del u
+    pieces = np.empty(edges.size - 1)
+    for lo in range(0, pieces.size, _PIECE_CHUNK):
+        e = edges[lo:lo + _PIECE_CHUNK + 1]
+        mid = 0.5 * (e[:-1] + e[1:])[:, None]
+        half = 0.5 * (e[1:] - e[:-1])[:, None]
+        pieces[lo:lo + _PIECE_CHUNK] = (half * _GW * f(mid + half * _GX)).sum(1)
+    del edges
+    out = _suffix_sums(pieces)[idx]
+    out[flat <= 0.0] = np.inf
+    out[np.isnan(flat)] = np.nan
+    return out.reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -225,16 +250,14 @@ class DomainGeometry:
     Radial profiles are exposed in log space (log_r1, log_r2) together with
     the dual profiles (log_r1_star, log_r2_star) defined by the exact
     pointwise identities r1*(s) r1(s) = s and r2*(s) r2(s) = 1 - s.
-    Evaluators are pure; instances are safe to share across threads.
+    Nothing is cached on an instance: every call evaluates its points
+    afresh, so evaluators are pure and instances safe to share.
     """
 
     def __init__(self, profile: ExponentProfile,
                  _log_r1_xy: Callable | None = None,
                  _log_r2_xy: Callable | None = None):
         self.profile = profile
-        # (level, k, w, log r1, log r2) at the finest tanh-sinh level
-        # evaluated so far; read and filled by leray._radial_log_nodes
-        self.node_cache: tuple | None = None
         const_p = profile.constant_p
         if _log_r1_xy is not None:
             self._lr1_xy = _log_r1_xy
@@ -265,25 +288,14 @@ class DomainGeometry:
 
     def _quadrature_log_r1(self, s: np.ndarray, sm: np.ndarray) -> np.ndarray:
         p = self.profile
-        out = np.empty_like(s)
-        for i, si in np.ndenumerate(s):
-            if si <= 0.0:
-                out[i] = -np.inf
-                continue
-            out[i] = math.log(p.b1) - _panelled_integral(
-                lambda u: 1.0 / p(np.exp(u)), math.log(si), 0.0)
-        return out
+        return math.log(p.b1) - _integrals_to_zero(
+            lambda u: 1.0 / p(np.exp(u)), s, np.array(p.meta.get("s", [])))
 
     def _quadrature_log_r2(self, s: np.ndarray, sm: np.ndarray) -> np.ndarray:
         p = self.profile
-        out = np.empty_like(sm)
-        for i, smi in np.ndenumerate(sm):
-            if smi <= 0.0:
-                out[i] = -np.inf
-                continue
-            out[i] = math.log(p.b2) - _panelled_integral(
-                lambda u: 1.0 / p(1.0 - np.exp(u)), math.log(smi), 0.0)
-        return out
+        return math.log(p.b2) - _integrals_to_zero(
+            lambda u: 1.0 / p(1.0 - np.exp(u)), sm,
+            1.0 - np.array(p.meta.get("s", [])))
 
     def log_r1_xy(self, s, sm):
         return self._lr1_xy(np.asarray(s, float), np.asarray(sm, float))
@@ -303,17 +315,13 @@ class DomainGeometry:
 
     def log_r1(self, s):
         s = np.asarray(s, dtype=float)
-        scalar = s.ndim == 0
-        sv = np.atleast_1d(s)
-        out = self._lr1_xy(sv, 1.0 - sv)
-        return float(out[0]) if scalar else out
+        out = self._lr1_xy(s, 1.0 - s)
+        return float(out) if s.ndim == 0 else out
 
     def log_r2(self, s):
         s = np.asarray(s, dtype=float)
-        scalar = s.ndim == 0
-        sv = np.atleast_1d(s)
-        out = self._lr2_xy(sv, 1.0 - sv)
-        return float(out[0]) if scalar else out
+        out = self._lr2_xy(s, 1.0 - s)
+        return float(out) if s.ndim == 0 else out
 
     def r1(self, s):
         return np.exp(self.log_r1(s))
@@ -362,22 +370,15 @@ class DomainGeometry:
                 math.inf if vals[-1] > 10.0 * vals[0] else None)
         return {"s0": limits[0], "s1": limits[1]}
 
-    def _truncated_exponent_integrals(self, eps: float):
-        p = self.profile
-        i1 = _panelled_integral(lambda u: 1.0 / p(np.exp(u)),
-                                math.log(eps), math.log(0.5))
-        i2 = _panelled_integral(lambda u: 1.0 / p(1.0 - np.exp(u)),
-                                math.log(eps), math.log(0.5))
-        return i1, i2
-
     def _estimate_membership(self):
         # the class requires int_0 dt/(t p(t)) and int^1 dt/((1-t) p(t)) to
         # diverge; after u = log t this is divergence of int 1/p du as the
         # lower limit recedes.  Sampled truncations must keep growing with
         # slope bounded away from zero on a log scale.  This is a heuristic
         # (finitely many samples prove nothing), hence the confidence field.
-        eps_list = [1e-2, 1e-4, 1e-6, 1e-8, 1e-10]
-        vals = np.array([self._truncated_exponent_integrals(e) for e in eps_list])
+        eps = np.array([1e-2, 1e-4, 1e-6, 1e-8, 1e-10])
+        vals = -np.stack([self.log_r1_xy(eps, 1.0 - eps),
+                          self.log_r2_xy(1.0 - eps, eps)], axis=1)
         growth = np.diff(vals, axis=0)  # per factor-100 shrink of eps
         diverging = bool(np.all(growth > 1e-3))
         conf = 0.9 if diverging and np.all(growth > 0.1 * growth[0]) else 0.6

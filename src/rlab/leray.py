@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import DomainError, IndexOutOfTable
 from .geometry import DomainGeometry, dual_complement
-from .numerics import (extrapolate_limit, log_gamma, nested_log_sums,
-                       tanh_sinh_indexed)
+from .numerics import (extrapolate_limit, log_beta, log_gamma,
+                       nested_log_sums, tanh_sinh_indexed)
 
 __all__ = [
     "MomentTable",
@@ -42,27 +42,40 @@ _CONVERGED = 1e-7  # largest level-7 vs level-6 gap in log I taken as converged
 
 
 # ---------------------------------------------------------------------------
-# node cache
+# radial nodes and the moment kernel
 # ---------------------------------------------------------------------------
 
 def _radial_log_nodes(geom: DomainGeometry, level: int):
-    """(log w, log r1, log r2, k) at the tanh-sinh nodes of a level.
+    """(log w, log r1, log r2, k) at the tanh-sinh nodes of a level, with
+    the radii from one batched evaluation of the geometry's profiles."""
+    k, x, xm, w = tanh_sinh_indexed(level)
+    return np.log(w), geom.log_r1_xy(x, xm), geom.log_r2_xy(x, xm), k
 
-    geom.node_cache holds the finest level evaluated so far.  A coarser
-    level is its subset with k a multiple of 2^(finest - level), weights
-    scaled by exactly that power of two before the log, so the values equal
-    a direct evaluation of the coarser level bit for bit.  A finer request
-    replaces the cache.
+
+def _log_moments(geom: DomainGeometry, m1, m2):
+    """log I(m1, m2) and its error estimate, broadcast over the degrees.
+
+    Constant-exponent domains use the Beta closed form
+    I = b1^{2m1} b2^{2m2} B(2m1/p + 1, 2m2/p + 1), exact (error 0);
+    otherwise the tanh-sinh rule at level 7, with the gap to the level-6
+    sum taken from the same terms as the error estimate.
     """
-    cache = geom.node_cache
-    if cache is None or cache[0] < level:
-        k, x, xm, w = tanh_sinh_indexed(level)
-        cache = (level, k, w, geom.log_r1_xy(x, xm), geom.log_r2_xy(x, xm))
-        geom.node_cache = cache
-    finest, k, w, lr1, lr2 = cache
-    step = 1 << (finest - level)
-    sel = k % step == 0
-    return np.log(w[sel] * step), lr1[sel], lr2[sel], k[sel] // step
+    m1, m2 = np.broadcast_arrays(np.asarray(m1, float), np.asarray(m2, float))
+    p = geom.profile.constant_p
+    if p is not None:
+        log_i = (2.0 * m1 * math.log(geom.profile.b1)
+                 + 2.0 * m2 * math.log(geom.profile.b2)
+                 + log_beta(2.0 * m1 / p + 1.0, 2.0 * m2 / p + 1.0))
+        return log_i, np.zeros_like(log_i)
+    logw, lr1, lr2, k = _radial_log_nodes(geom, _LEVEL)
+    a, b = 2.0 * m1.ravel()[:, None], 2.0 * m2.ravel()[:, None]
+    sums = np.empty((2,) + m1.shape)
+    # chunk over degree pairs so the (chunk, n_nodes) terms stay small
+    chunk = max(1, (1 << 16) // logw.size)
+    for lo in range(0, a.size, chunk):
+        sums.reshape(2, -1)[:, lo:lo + chunk] = nested_log_sums(
+            logw + a[lo:lo + chunk] * lr1 + b[lo:lo + chunk] * lr2, k)
+    return sums[0], np.abs(sums[0] - sums[1])
 
 
 # ---------------------------------------------------------------------------
@@ -87,44 +100,16 @@ class MomentTable:
         return float(self.log_I[m1, m2])
 
 
-def _egg_log_moments(geom: DomainGeometry, M1: int, M2: int):
-    from .numerics import log_beta
-
-    p = geom.profile.constant_p
-    lb1 = math.log(geom.profile.b1)
-    lb2 = math.log(geom.profile.b2)
-    m1 = np.arange(M1 + 1, dtype=float)[:, None]
-    m2 = np.arange(M2 + 1, dtype=float)[None, :]
-    return (2.0 * m1 * lb1 + 2.0 * m2 * lb2
-            + log_beta(2.0 * m1 / p + 1.0, np.broadcast_to(2.0 * m2 / p + 1.0,
-                                                           (M1 + 1, M2 + 1))))
-
-
 def moment_table(geom: DomainGeometry, M1: int, M2: int) -> MomentTable:
     """Tabulate log I(m1, m2) for the degree box 0..M1 x 0..M2.
 
-    Constant-exponent domains use the Beta closed form
-    I = b1^{2m1} b2^{2m2} B(2m1/p + 1, 2m2/p + 1); otherwise the tanh-sinh
-    rule at level 7, with the level-6 sum from the same terms as the error
+    See _log_moments for the closed form, the quadrature and its error
     estimate.  Non-converged entries are flagged, never fatal.
     """
     if M1 < 0 or M2 < 0:
         raise DomainError("degree bounds must be nonnegative")
-
-    if geom.profile.constant_p is not None:
-        log_i = _egg_log_moments(geom, M1, M2)
-        err = np.zeros_like(log_i)
-        return MomentTable(geom, M1, M2, log_i, err, np.ones_like(log_i, bool))
-
-    logw, lr1, lr2, k = _radial_log_nodes(geom, _LEVEL)
-    m2s = np.arange(M2 + 1, dtype=float)
-    log_i = np.empty((M1 + 1, M2 + 1))
-    coarse = np.empty_like(log_i)
-    for m1 in range(M1 + 1):
-        base = logw + 2.0 * m1 * lr1
-        terms = base[None, :] + (2.0 * m2s[:, None]) * lr2[None, :]
-        log_i[m1], coarse[m1] = nested_log_sums(terms, k)
-    err = np.abs(log_i - coarse)
+    log_i, err = _log_moments(geom, np.arange(M1 + 1)[:, None],
+                              np.arange(M2 + 1)[None, :])
     return MomentTable(geom, M1, M2, log_i, err, err <= _CONVERGED)
 
 
@@ -162,10 +147,7 @@ def leray_norm_grid(geom: DomainGeometry, M1: int, M2: int,
     dual = dual or dual_complement(geom)
     tab = moment_table(geom, M1, M2)
     tab_star = moment_table(dual, M1, M2)
-    m1 = np.arange(M1 + 1, dtype=float)[:, None]
-    m2 = np.arange(M2 + 1, dtype=float)[None, :]
-    lg = log_gamma_factor(np.broadcast_to(m1, (M1 + 1, M2 + 1)),
-                          np.broadcast_to(m2, (M1 + 1, M2 + 1)))
+    lg = log_gamma_factor(np.arange(M1 + 1)[:, None], np.arange(M2 + 1))
     log_norm = 2.0 * lg + tab.log_I + tab_star.log_I
     err = tab.err + tab_star.err
     return LerayNormGrid(geom, M1, M2, log_norm, lg, err,
@@ -173,31 +155,10 @@ def leray_norm_grid(geom: DomainGeometry, M1: int, M2: int,
 
 
 def _leray_entries(geom: DomainGeometry, dual: DomainGeometry,
-                   m1s: np.ndarray, m2s: np.ndarray,
-                   level: int = _LEVEL) -> np.ndarray:
+                   m1s: np.ndarray, m2s: np.ndarray) -> np.ndarray:
     """log ||L||^2 at arbitrary (possibly large) degree pairs."""
-    m1s = np.asarray(m1s, dtype=float)
-    m2s = np.asarray(m2s, dtype=float)
-    out = np.empty(m1s.shape)
-    if geom.profile.constant_p is not None:
-        from .numerics import log_beta
-        p = geom.profile.constant_p
-        q = p / (p - 1.0)
-        lb1 = math.log(geom.profile.b1)
-        lb2 = math.log(geom.profile.b2)
-        log_i = 2 * m1s * lb1 + 2 * m2s * lb2 + log_beta(2 * m1s / p + 1, 2 * m2s / p + 1)
-        log_is = -2 * m1s * lb1 - 2 * m2s * lb2 + log_beta(2 * m1s / q + 1, 2 * m2s / q + 1)
-        return 2.0 * log_gamma_factor(m1s, m2s) + log_i + log_is
-    logw, lr1, lr2, _k = _radial_log_nodes(geom, level)
-    logws, lr1s, lr2s, _k = _radial_log_nodes(dual, level)
-    for i in np.ndindex(m1s.shape):
-        a, b = m1s[i], m2s[i]
-        t1 = logw + 2 * a * lr1 + 2 * b * lr2
-        t2 = logws + 2 * a * lr1s + 2 * b * lr2s
-        li = t1.max() + math.log(np.sum(np.exp(t1 - t1.max())))
-        ls = t2.max() + math.log(np.sum(np.exp(t2 - t2.max())))
-        out[i] = 2.0 * float(log_gamma_factor(a, b)) + li + ls
-    return out
+    return (2.0 * log_gamma_factor(m1s, m2s)
+            + _log_moments(geom, m1s, m2s)[0] + _log_moments(dual, m1s, m2s)[0])
 
 
 # ---------------------------------------------------------------------------

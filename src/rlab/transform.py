@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
 import numpy as np
+from scipy.special import logsumexp
 
 from .errors import DomainError, IndexOutOfTable
 from .geometry import DomainGeometry, dual_complement
@@ -94,11 +95,23 @@ class NormReport:
     convention: str
 
 
-def _sum_report(terms: Dict[Tuple[int, int], float], err: float,
+def _log_abs_sq(amp: complex) -> float:
+    return 2.0 * math.log(abs(amp)) if amp else -math.inf
+
+
+def _sum_report(log_terms: Dict[Tuple[int, int], float],
+                rel_errs: Dict[Tuple[int, int], float],
                 convention: str) -> NormReport:
-    total = math.fsum(terms.values())
-    logv = math.log(total) if total > 0 else -math.inf
-    return NormReport(total, logv, terms, err, convention)
+    """Reduce per-index log terms to a report.  err_est sums each term
+    times its relative error.  Sums stay in log space, so value, err_est
+    and the breakdown may read inf where log_value is still finite."""
+    log_err = float(logsumexp([log_terms[key] + math.log(e)
+                               for key, e in rel_errs.items() if e > 0.0]))
+    logv = float(logsumexp(list(log_terms.values())))
+    with np.errstate(over="ignore"):
+        return NormReport(float(np.exp(logv)), logv,
+                          {k: float(np.exp(v)) for k, v in log_terms.items()},
+                          float(np.exp(log_err)), convention)
 
 
 # ---------------------------------------------------------------------------
@@ -110,13 +123,12 @@ def hardy_norm_sq(geom: DomainGeometry, a: CoefficientGrid,
     """||f||^2 = (1/4) sum |a_{m1,m2}|^2 I(m1, m2) on the boundary measure."""
     if a.side != "hardy":
         raise DomainError("hardy_norm_sq expects a hardy-side grid")
-    terms = {}
-    err = 0.0
+    terms, errs = {}, {}
     for (m1, m2), amp in a.entries.items():
         log_i = table.log_I_at(m1, m2)  # raises IndexOutOfTable
-        terms[(m1, m2)] = 0.25 * abs(amp) ** 2 * math.exp(log_i)
-        err += terms[(m1, m2)] * float(table.err[m1, m2])
-    return _sum_report(terms, err, "exact_parametrized")
+        terms[(m1, m2)] = _log_abs_sq(amp) + log_i - _LOG4
+        errs[(m1, m2)] = float(table.err[m1, m2])
+    return _sum_report(terms, errs, "exact_parametrized")
 
 
 def laplace_map(geom: DomainGeometry, a: CoefficientGrid,
@@ -192,21 +204,19 @@ def bergman_nu_norm_sq(geom: DomainGeometry, beta: CoefficientGrid,
     paper = convention == "paper_equivalent"
     # the paper's series uses the plain dual moment I*
     logs7, logs6 = _log_j_integrals(dual, pairs, h_variant or paper)
-    terms = {}
-    err = 0.0
+    terms, errs = {}, {}
     for key, log_j, log_j6 in zip(pairs, logs7.tolist(), logs6.tolist()):
         m = key[0] + key[1]
-        amp_sq = abs(beta.entries[key]) ** 2
         if paper:
-            terms[key] = amp_sq * math.exp(2.0 * log_gamma(m + 2.0) + log_j)
+            log_radial = 2.0 * log_gamma(m + 2.0)
         else:
             log_radial = (log_gamma(2.0 * m + 3.5)
-                          - (2.0 * m + 3.5) * math.log(2.0))
-            terms[key] = 0.25 * amp_sq * math.exp(log_radial + log_j)
-        err += terms[key] * abs(log_j - log_j6)
+                          - (2.0 * m + 3.5) * math.log(2.0) - _LOG4)
+        terms[key] = _log_abs_sq(beta.entries[key]) + log_radial + log_j
+        errs[key] = abs(log_j - log_j6)
     tag = ("paper_equivalent" if paper
            else "exact_parametrized" + ("/H32" if h_variant else ""))
-    return _sum_report(terms, err, tag)
+    return _sum_report(terms, errs, tag)
 
 
 # ---------------------------------------------------------------------------
@@ -230,10 +240,8 @@ def exp_norm_sq(geom: DomainGeometry, r: float, t: float,
     logw, lr1, lr2, _k = _radial_log_nodes(geom, level)
     lr1t = float(geom.log_r1_star(t)) if t > 0 else -math.inf
     lr2t = float(geom.log_r2_star(t)) if t < 1 else -math.inf
-    a1 = np.exp(math.log(2.0 * r) + lr1 + lr1t) if (r > 0 and lr1t > -math.inf) \
-        else np.zeros_like(lr1)
-    a2 = np.exp(math.log(2.0 * r) + lr2 + lr2t) if (r > 0 and lr2t > -math.inf) \
-        else np.zeros_like(lr2)
+    a1 = 2.0 * r * np.exp(lr1 + lr1t)
+    a2 = 2.0 * r * np.exp(lr2 + lr2t)
     terms = logw + bessel_i0_log(a1) + bessel_i0_log(a2)
     mx = terms.max()
     return LogValue(float(mx + math.log(np.sum(np.exp(terms - mx)))
@@ -281,7 +289,7 @@ def bergman_omega_norm_sq(geom: DomainGeometry,
         raise DomainError("bergman_omega_norm_sq expects a bergman-side grid")
     pairs = beta.support
     if not pairs:
-        return _sum_report({}, 0.0, "exact_parametrized")
+        return _sum_report({}, {}, "exact_parametrized")
 
     t_nodes = tanh_sinh_nodes_sym(3)
     x, xm, w = t_nodes
@@ -316,6 +324,6 @@ def bergman_omega_norm_sq(geom: DomainGeometry,
         rel = np.exp(np.maximum(g - mx, -745.0))
         rel[g < mx - 40.0] = 0.0  # truncation contract: 40 nats below peak
         inner = float(np.sum(rel * r_weights[:, None]))
-        terms[(m1, m2)] = (0.25 * abs(beta.entries[(m1, m2)]) ** 2
-                           * math.exp(mx) * inner)
-    return _sum_report(terms, 0.0, "exact_parametrized")
+        terms[(m1, m2)] = (_log_abs_sq(beta.entries[(m1, m2)]) - _LOG4
+                           + mx + math.log(inner))
+    return _sum_report(terms, {}, "exact_parametrized")

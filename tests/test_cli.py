@@ -2,6 +2,7 @@
 and the exit code contract (0 ok, 1 usage, 2 hypothesis, 3 non-convergence)."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -166,6 +167,27 @@ def test_norms_bergman_side(capsys):
     obj = json.loads(out)
     assert set(obj) == {"nu_norm_sq", "omega_norm_sq"}
     assert obj["omega_norm_sq"]["value"] > obj["nu_norm_sq"]["value"]
+
+
+@pytest.mark.parametrize("side, amp", [("hardy", 1e300), ("bergman", 1e200)])
+def test_norms_of_huge_coefficients(capsys, side, amp):
+    # |amp|^2 overflows a double; the sums stay in log space, so log_value
+    # is the unit-coefficient value shifted by 2 log amp and value reads inf
+    def norms(re):
+        coeffs = json.dumps({"side": side,
+                             "entries": [{"m1": 1, "m2": 1, "re": re}]})
+        code, out, err = run(capsys, "norms", "--domain", BALL,
+                             "--coeffs", coeffs, "--format", "json")
+        assert code == 0 and err == ""
+        return json.loads(out)
+
+    big, unit = norms(amp), norms(1.0)
+    assert set(big) == set(unit)
+    for name, rep in big.items():
+        assert rep["log_value"] == pytest.approx(
+            unit[name]["log_value"] + 2.0 * math.log(amp), rel=1e-14)
+        assert rep["value"] == math.inf
+        assert not math.isnan(rep["err_est"])
 
 
 def test_compare_lemma_pass(capsys):

@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import integrate
 
 from rlab.errors import (DomainError, ExponentOutOfRange, NonEvaluableProfile)
 from rlab.geometry import (DomainGeometry, ExponentProfile, classify_boundary,
@@ -119,6 +120,29 @@ def test_quadrature_matches_egg_closed_form():
         geom._quadrature_log_r2(np.array([v]), np.array([1.0 - v]))[0]
         for v in s])
     assert np.allclose(via_quad2, np.log(1.0 - s) / 3.0, atol=1e-10)
+
+
+def test_tabulated_radii_match_knot_split_reference():
+    # a tabulated profile is only C^1 at its knots; with the knots as panel
+    # edges the radial profiles match an adaptive reference split there
+    knots = np.linspace(0.0, 1.0, 9)
+    geom = domain_from_exponent(tabulated_profile(
+        knots, [2.0, 3.0, 2.5, 4.0, 3.0, 2.2, 3.3, 2.8, 2.1]))
+    p = geom.profile
+
+    def integral(f, lo, cuts):
+        edges = sorted({lo, 0.0, *(c for c in cuts if lo < c < 0.0)})
+        return sum(integrate.quad(f, a, b, epsabs=1e-15, epsrel=1e-13)[0]
+                   for a, b in zip(edges[:-1], edges[1:]))
+
+    inner = knots[1:-1]
+    for s in (1e-3, 0.05, 0.2, 0.4, 0.5, 0.77, 0.95, 0.999):
+        want1 = -integral(lambda u: 1.0 / float(p(math.exp(u))),
+                          math.log(s), np.log(inner))
+        want2 = -integral(lambda u: 1.0 / float(p(-math.expm1(u))),
+                          math.log1p(-s), np.log1p(-inner))
+        assert abs(geom.log_r1(s) - want1) < 1e-12
+        assert abs(geom.log_r2(s) - want2) < 1e-12
 
 
 def test_ball_radial_is_sqrt(ball):

@@ -12,10 +12,11 @@ import pytest
 
 from rlab.errors import DomainError, IndexOutOfTable
 from rlab.geometry import (domain_from_exponent, dual_complement, egg_profile,
-                           expression_profile)
+                           expression_profile, tabulated_profile)
 from rlab.leray import (_radial_log_nodes, axis_limit_probe,
                         boundedness_report, leray_norm_grid, log_gamma_factor,
                         moment_table, ray_limit_predictor)
+from rlab.numerics import tanh_sinh_indexed
 
 EX_PROFILE = "2+1/log(10/s)"
 
@@ -199,21 +200,28 @@ def test_axis_probe(ball):
 
 
 # ---------------------------------------------------------------------------
-# node cache and determinism
+# radial nodes and determinism
 # ---------------------------------------------------------------------------
 
-def test_node_cache_serves_coarse_levels_exactly():
-    # a coarse level read off the level-7 cache equals a direct evaluation
-    # of that level bit for bit; a finer request replaces the cache
-    cached = domain_from_exponent(expression_profile(EX_PROFILE))
-    direct = domain_from_exponent(expression_profile(EX_PROFILE))
-    _radial_log_nodes(cached, 7)
-    for level in (4, 6):
-        want = _radial_log_nodes(direct, level)
-        assert direct.node_cache[0] == level
-        for got, ref in zip(_radial_log_nodes(cached, level), want):
-            assert np.array_equal(got, ref)
-    assert cached.node_cache[0] == 7
+TABLE = tabulated_profile(np.linspace(0.0, 1.0, 9),
+                          [2.0, 3.0, 2.5, 4.0, 3.0, 2.2, 3.3, 2.8, 2.1])
+
+
+@pytest.mark.parametrize("profile", [expression_profile(EX_PROFILE), TABLE],
+                         ids=["expression", "table"])
+def test_radii_do_not_depend_on_the_batch(profile):
+    # every point evaluated alone matches its value inside the batch of the
+    # 1,565 level-7 nodes: the cumulative pass splits panels differently
+    # for each batch, and its suffix sums keep that to rounding
+    geom = domain_from_exponent(profile)
+    _logw, lr1, lr2, _k = _radial_log_nodes(geom, 7)
+    _k, x, xm, _w = tanh_sinh_indexed(7)
+    assert x.size == 1565
+    one = [slice(i, i + 1) for i in range(x.size)]
+    alone1 = np.concatenate([geom.log_r1_xy(x[i], xm[i]) for i in one])
+    alone2 = np.concatenate([geom.log_r2_xy(x[i], xm[i]) for i in one])
+    assert np.max(np.abs(alone1 - lr1)) < 1e-13
+    assert np.max(np.abs(alone2 - lr2)) < 1e-13
 
 
 def test_moment_table_rerun_determinism():
