@@ -162,6 +162,9 @@ def tabulated_profile(s_samples, p_samples, b1: float = 1.0,
 
 _GX, _GW = np.polynomial.legendre.leggauss(32)  # one Gauss panel
 _PIECE_CHUNK = 1024  # Gauss pieces per batch of profile evaluations
+# the open interval (0, 1) in doubles: exp(u) and -expm1(u) round onto its
+# ends near u = 0 and u = -inf, where p need not be finite
+_OPEN = (np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
 
 
 def _panel_edges(a: float, b: float) -> np.ndarray:
@@ -195,7 +198,8 @@ def _integrals_to_zero(f: Callable, x: np.ndarray, knots) -> np.ndarray:
     The sorted log-queries and log-knots (the x where f is not smooth)
     split the graded panels of [min log x, 0] into pieces; each piece gets one
     32-point Gauss panel and suffix sums give every integral at once.
-    x <= 0 gives inf.  Peak memory is about four arrays the size of x.
+    x <= 0 gives inf.  Empty pieces (from x >= 1 or repeated edges) count
+    0 whatever f is there.  Peak memory is about four arrays the size of x.
     """
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
@@ -214,7 +218,8 @@ def _integrals_to_zero(f: Callable, x: np.ndarray, knots) -> np.ndarray:
         e = edges[lo:lo + _PIECE_CHUNK + 1]
         mid = 0.5 * (e[:-1] + e[1:])[:, None]
         half = 0.5 * (e[1:] - e[:-1])[:, None]
-        pieces[lo:lo + _PIECE_CHUNK] = (half * _GW * f(mid + half * _GX)).sum(1)
+        vals = (half * _GW * f(mid + half * _GX)).sum(1)
+        pieces[lo:lo + _PIECE_CHUNK] = np.where(half[:, 0] > 0.0, vals, 0.0)
     del edges
     out = _suffix_sums(pieces)[idx]
     out[flat <= 0.0] = np.inf
@@ -289,12 +294,13 @@ class DomainGeometry:
     def _quadrature_log_r1(self, s: np.ndarray, sm: np.ndarray) -> np.ndarray:
         p = self.profile
         return math.log(p.b1) - _integrals_to_zero(
-            lambda u: 1.0 / p(np.exp(u)), s, np.array(p.meta.get("s", [])))
+            lambda u: 1.0 / p(np.clip(np.exp(u), *_OPEN)), s,
+            np.array(p.meta.get("s", [])))
 
     def _quadrature_log_r2(self, s: np.ndarray, sm: np.ndarray) -> np.ndarray:
         p = self.profile
         return math.log(p.b2) - _integrals_to_zero(
-            lambda u: 1.0 / p(1.0 - np.exp(u)), sm,
+            lambda u: 1.0 / p(np.clip(-np.expm1(u), *_OPEN)), sm,
             1.0 - np.array(p.meta.get("s", [])))
 
     def log_r1_xy(self, s, sm):

@@ -52,30 +52,36 @@ def _radial_log_nodes(geom: DomainGeometry, level: int):
     return np.log(w), geom.log_r1_xy(x, xm), geom.log_r2_xy(x, xm), k
 
 
-def _log_moments(geom: DomainGeometry, m1, m2):
-    """log I(m1, m2) and its error estimate, broadcast over the degrees.
-
-    Constant-exponent domains use the Beta closed form
-    I = b1^{2m1} b2^{2m2} B(2m1/p + 1, 2m2/p + 1), exact (error 0);
-    otherwise the tanh-sinh rule at level 7, with the gap to the level-6
-    sum taken from the same terms as the error estimate.
-    """
+def _log_moment_sums(geom: DomainGeometry, m1, m2, log_weight=None):
+    """log int_0^1 r1^{2m1} r2^{2m2} g ds at tanh-sinh levels 7 and 6 (same
+    terms), shape (2,) + the degrees' broadcast shape; log g is
+    log_weight(log r1, log r2) at the nodes, or g = 1."""
     m1, m2 = np.broadcast_arrays(np.asarray(m1, float), np.asarray(m2, float))
-    p = geom.profile.constant_p
-    if p is not None:
-        log_i = (2.0 * m1 * math.log(geom.profile.b1)
-                 + 2.0 * m2 * math.log(geom.profile.b2)
-                 + log_beta(2.0 * m1 / p + 1.0, 2.0 * m2 / p + 1.0))
-        return log_i, np.zeros_like(log_i)
     logw, lr1, lr2, k = _radial_log_nodes(geom, _LEVEL)
+    extra = 0.0 if log_weight is None else log_weight(lr1, lr2)
     a, b = 2.0 * m1.ravel()[:, None], 2.0 * m2.ravel()[:, None]
     sums = np.empty((2,) + m1.shape)
     # chunk over degree pairs so the (chunk, n_nodes) terms stay small
     chunk = max(1, (1 << 16) // logw.size)
     for lo in range(0, a.size, chunk):
         sums.reshape(2, -1)[:, lo:lo + chunk] = nested_log_sums(
-            logw + a[lo:lo + chunk] * lr1 + b[lo:lo + chunk] * lr2, k)
-    return sums[0], np.abs(sums[0] - sums[1])
+            logw + a[lo:lo + chunk] * lr1 + b[lo:lo + chunk] * lr2 + extra, k)
+    return sums
+
+
+def _log_moments(geom: DomainGeometry, m1, m2):
+    """log I(m1, m2) and its error estimate, broadcast over the degrees:
+    the Beta closed form I = b1^{2m1} b2^{2m2} B(2m1/p + 1, 2m2/p + 1),
+    exact (error 0), for constant p, else the level-7 sum with its gap to
+    the level-6 sum."""
+    p = geom.profile.constant_p
+    if p is None:
+        fine, coarse = _log_moment_sums(geom, m1, m2)
+        return fine, np.abs(fine - coarse)
+    log_i = (2.0 * m1 * math.log(geom.profile.b1)
+             + 2.0 * m2 * math.log(geom.profile.b2)
+             + log_beta(2.0 * m1 / p + 1.0, 2.0 * m2 / p + 1.0))
+    return log_i, np.zeros_like(log_i)
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,8 @@ from scipy.special import logsumexp
 
 from .errors import DomainError, IndexOutOfTable
 from .geometry import DomainGeometry, dual_complement
-from .leray import MomentTable, _radial_log_nodes
-from .numerics import (LogValue, bessel_i0_log, log_gamma, nested_log_sums,
-                       tanh_sinh_nodes_sym)
+from .leray import MomentTable, _log_moment_sums, _radial_log_nodes
+from .numerics import LogValue, bessel_i0_log, log_gamma, tanh_sinh_nodes_sym
 
 __all__ = [
     "CoefficientGrid",
@@ -162,23 +161,6 @@ def invert_laplace(geom: DomainGeometry, t: CoefficientGrid,
 # explicit-weight Bergman norm (nu)
 # ---------------------------------------------------------------------------
 
-def _log_j_integrals(dual: DomainGeometry, pairs, h_variant: bool):
-    """log of J(m1,m2) = int r1*^{2m1} r2*^{2m2} (r1*^2 + r2*^2)^{3/4} ds
-    at tanh-sinh levels 7 and 6, as two arrays over pairs.
-
-    The dual radii are the radial profiles of the dual-complement geometry.
-    With h_variant the norm factor ||z||^{3/2} is replaced by H(z)^{3/2},
-    which drops the (r1*^2 + r2*^2)^{3/4} factor entirely.
-    """
-    logw, lr1s, lr2s, k = _radial_log_nodes(dual, 7)
-    extra = 0.0 if h_variant else 0.75 * np.logaddexp(2.0 * lr1s, 2.0 * lr2s)
-    out = np.empty((2, len(pairs)))
-    for i, (m1, m2) in enumerate(pairs):
-        t = logw + 2.0 * m1 * lr1s + 2.0 * m2 * lr2s + extra
-        out[:, i] = nested_log_sums(t, k)
-    return out
-
-
 def bergman_nu_norm_sq(geom: DomainGeometry, beta: CoefficientGrid,
                        convention: str = "exact_parametrized",
                        h_variant: bool = False,
@@ -187,7 +169,9 @@ def bergman_nu_norm_sq(geom: DomainGeometry, beta: CoefficientGrid,
 
     exact_parametrized (default):
         (1/4) sum |beta|^2 Gamma(2M + 7/2) / 2^{2M + 7/2} * J(m1, m2),
-    with M = m1 + m2 and J the dual-radial integral above.
+    with M = m1 + m2 and J = int r1*^{2m1} r2*^{2m2} (r1*^2 + r2*^2)^{3/4} ds
+    over the dual radii.  h_variant replaces the norm factor ||z||^{3/2}
+    by H(z)^{3/2}, which drops the (r1*^2 + r2*^2)^{3/4} factor from J.
 
     paper_equivalent: the model series sum |beta|^2 ((M + 1)!)^2 I*(m1, m2),
     comparable to the exact value up to fixed constants.
@@ -203,7 +187,10 @@ def bergman_nu_norm_sq(geom: DomainGeometry, beta: CoefficientGrid,
     pairs = beta.support
     paper = convention == "paper_equivalent"
     # the paper's series uses the plain dual moment I*
-    logs7, logs6 = _log_j_integrals(dual, pairs, h_variant or paper)
+    norm_factor = None if h_variant or paper else (
+        lambda lr1, lr2: 0.75 * np.logaddexp(2.0 * lr1, 2.0 * lr2))
+    logs7, logs6 = _log_moment_sums(
+        dual, *np.array(pairs, dtype=float).reshape(-1, 2).T, norm_factor)
     terms, errs = {}, {}
     for key, log_j, log_j6 in zip(pairs, logs7.tolist(), logs6.tolist()):
         m = key[0] + key[1]

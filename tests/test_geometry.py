@@ -16,10 +16,11 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from rlab.errors import (DomainError, ExponentOutOfRange, NonEvaluableProfile)
-from rlab.geometry import (DomainGeometry, ExponentProfile, classify_boundary,
-                           curvatures_at, domain_from_exponent,
-                           domain_from_spec, dual_complement, egg_profile,
-                           expression_profile, tabulated_profile)
+from rlab.geometry import (DomainGeometry, ExponentProfile, _integrals_to_zero,
+                           classify_boundary, curvatures_at,
+                           domain_from_exponent, domain_from_spec,
+                           dual_complement, egg_profile, expression_profile,
+                           tabulated_profile)
 
 EX_PROFILE = "2+1/log(10/s)"
 
@@ -143,6 +144,17 @@ def test_tabulated_radii_match_knot_split_reference():
                           math.log1p(-s), np.log1p(-inner))
         assert abs(geom.log_r1(s) - want1) < 1e-12
         assert abs(geom.log_r2(s) - want2) < 1e-12
+
+
+def test_cumulative_pass_edge_queries():
+    # a query outside (0, 1) or at a point where f is nan adds only empty
+    # pieces, which must not reach the integrals of the other queries
+    f = lambda u: np.where(u == math.log(0.5), np.nan, 1.0)  # noqa: E731
+    got = _integrals_to_zero(f, np.array([0.25, 0.5, 1.0, 2.0, 0.0, np.nan]),
+                             np.array([]))
+    assert np.allclose(got[:4], [math.log(4.0), math.log(2.0), 0.0, 0.0],
+                       rtol=1e-15)
+    assert got[4] == math.inf and math.isnan(got[5])
 
 
 def test_ball_radial_is_sqrt(ball):

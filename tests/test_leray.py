@@ -207,14 +207,22 @@ TABLE = tabulated_profile(np.linspace(0.0, 1.0, 9),
                           [2.0, 3.0, 2.5, 4.0, 3.0, 2.2, 3.3, 2.8, 2.1])
 
 
-@pytest.mark.parametrize("profile", [expression_profile(EX_PROFILE), TABLE],
-                         ids=["expression", "table"])
+# finite on (0, 1) but nan at s = 0 (0 log 0) or at s = 1, where the far
+# tanh-sinh nodes round x or 1 - x
+NAN_AT_0, NAN_AT_1 = "2+s*log(s)", "2+(1-s)*log(1-s)"
+
+
+@pytest.mark.parametrize("profile", [
+    expression_profile(EX_PROFILE), TABLE, expression_profile(NAN_AT_0),
+    expression_profile(NAN_AT_1)], ids=["expression", "table", "nan_at_0",
+                                        "nan_at_1"])
 def test_radii_do_not_depend_on_the_batch(profile):
     # every point evaluated alone matches its value inside the batch of the
     # 1,565 level-7 nodes: the cumulative pass splits panels differently
     # for each batch, and its suffix sums keep that to rounding
     geom = domain_from_exponent(profile)
     _logw, lr1, lr2, _k = _radial_log_nodes(geom, 7)
+    assert np.all(np.isfinite(lr1)) and np.all(np.isfinite(lr2))
     _k, x, xm, _w = tanh_sinh_indexed(7)
     assert x.size == 1565
     one = [slice(i, i + 1) for i in range(x.size)]
@@ -222,6 +230,16 @@ def test_radii_do_not_depend_on_the_batch(profile):
     alone2 = np.concatenate([geom.log_r2_xy(x[i], xm[i]) for i in one])
     assert np.max(np.abs(alone1 - lr1)) < 1e-13
     assert np.max(np.abs(alone2 - lr2)) < 1e-13
+
+
+def test_moments_of_profiles_nan_at_an_endpoint():
+    # p(1 - s) swaps the roles of r1 and r2, so I(m1, m2) becomes I(m2, m1)
+    tab0 = moment_table(domain_from_exponent(expression_profile(NAN_AT_0)),
+                        8, 8)
+    tab1 = moment_table(domain_from_exponent(expression_profile(NAN_AT_1)),
+                        8, 8)
+    assert np.all(np.isfinite(tab0.log_I)) and np.all(tab0.converged)
+    assert np.max(np.abs(tab0.log_I - tab1.log_I.T)) < 1e-12
 
 
 def test_moment_table_rerun_determinism():
