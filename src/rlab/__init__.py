@@ -13,8 +13,7 @@ from .geometry import (DomainGeometry, ExponentProfile, classify_boundary,
 from .leray import (LerayNormGrid, MomentTable, axis_limit_probe,
                     boundedness_report, leray_norm_grid, moment_table,
                     ray_limit_predictor)
-from .numerics import (LogValue, bessel_i0_log, extrapolate_limit, log_beta,
-                       log_gamma)
+from .numerics import bessel_i0_log, extrapolate_limit, log_beta, log_gamma
 from .transform import (CoefficientGrid, NormReport, bergman_nu_norm_sq,
                         bergman_omega_norm_sq, exp_norm_sq, hardy_norm_sq,
                         invert_laplace, laplace_map)

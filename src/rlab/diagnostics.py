@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainError, HypothesisNotMet
 from .geometry import DomainGeometry
 from .numerics import log_gamma
-from .transform import exp_norm_sq
+from .transform import _log_exp_norms
 
 __all__ = [
     "F_omega",
@@ -160,26 +160,26 @@ def verify_weight_equivalence(geom: DomainGeometry,
 
     E is the squared boundary norm of the exponential (exp_norm_sq).  The
     equivalence is asserted only away from the origin, so r below 1 is
-    rejected.  passed means max/min < factor across the sampled grid.
+    rejected, and at interior t only.  passed means max/min < factor
+    across the sampled grid.
     """
     r_lo, r_hi = float(r_range[0]), float(r_range[1])
-    if r_lo < 1.0:
+    if not r_lo >= 1.0:
         raise DomainError("weight equivalence is asserted for r >= 1 only")
-    if r_hi <= r_lo:
-        raise DomainError("empty r range")
+    if not r_lo < r_hi < math.inf:
+        raise DomainError("the r range must be finite and non-empty")
+    ts = np.asarray(t_samples, dtype=float)
+    if ts.ndim != 1 or ts.size == 0 or not np.all((ts > 0.0) & (ts < 1.0)):
+        raise DomainError("t samples must be a non-empty list inside (0, 1)")
     rs = np.geomspace(r_lo, r_hi, 12)
-    vals = []
-    for t in t_samples:
-        log_z = 0.5 * float(np.logaddexp(2.0 * geom.log_r1_star(t),
-                                         2.0 * geom.log_r2_star(t)))
-        for r in rs:
-            e = exp_norm_sq(geom, float(r), float(t))
-            vals.append(math.exp(-2.0 * r
-                                 + 1.5 * (math.log(r) + log_z)
-                                 + e.log_magnitude))
-    lo, hi = min(vals), max(vals)
+    lr1t, lr2t = geom.log_r1_star(ts), geom.log_r2_star(ts)
+    log_e = _log_exp_norms(geom, rs, lr1t, lr2t, 6)[0]
+    log_z = 0.5 * np.logaddexp(2.0 * lr1t, 2.0 * lr2t)
+    vals = np.exp(-2.0 * rs[:, None] + 1.5 * (np.log(rs)[:, None] + log_z)
+                  + log_e)
+    lo, hi = float(vals.min()), float(vals.max())
     return WeightEquivalenceReport(tuple(float(r) for r in rs),
-                                   tuple(float(t) for t in t_samples),
+                                   tuple(ts.tolist()),
                                    lo, hi, hi / lo, factor, hi / lo < factor)
 
 

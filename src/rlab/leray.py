@@ -238,6 +238,8 @@ def boundedness_report(geom: DomainGeometry, M: int,
     """
     if M < 16:
         raise DomainError("boundedness_report needs M >= 16")
+    if not all(math.isfinite(x) and x >= 0.0 for x in rays):
+        raise DomainError("rays must be finite and non-negative")
     dual = dual_complement(geom)
     grid = leray_norm_grid(geom, M, M, dual=dual)
     sup_small, _ = _grid_sup(grid, M // 4)

@@ -1,7 +1,7 @@
 """Shared numerical kernels.
 
 The nested tanh-sinh rule on (0, 1), log-Gamma/Beta and log I0 (from
-scipy.special), log-space scalars, and sequence-limit extrapolation.
+scipy.special) and sequence-limit extrapolation.
 Everything here is pure and reentrant.  Every integral over the boundary
 parameter elsewhere in the library is one sum over the nodes of a tanh-sinh
 level, with moment-type integrands evaluated as exp(sum of m_i * log r_i) so
@@ -26,7 +26,6 @@ from scipy.special import i0e as _i0e
 from .errors import DomainError
 
 __all__ = [
-    "LogValue",
     "tanh_sinh_indexed",
     "tanh_sinh_nodes_sym",
     "nested_log_sums",
@@ -37,14 +36,6 @@ __all__ = [
     "ExtrapolationResult",
     "extrapolate_limit",
 ]
-
-
-@dataclass(frozen=True)
-class LogValue:
-    """A real number stored as (log|value|, sign); sign == 0 encodes zero."""
-
-    log_magnitude: float
-    sign: int = 1
 
 
 # ---------------------------------------------------------------------------

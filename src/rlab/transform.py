@@ -11,6 +11,7 @@ exact constant 1/4 that appears in front of every formula below.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, field
@@ -22,7 +23,8 @@ from scipy.special import logsumexp
 from .errors import DomainError, IndexOutOfTable
 from .geometry import DomainGeometry, dual_complement
 from .leray import MomentTable, _log_moment_sums, _radial_log_nodes
-from .numerics import LogValue, bessel_i0_log, log_gamma, tanh_sinh_nodes_sym
+from .numerics import (bessel_i0_log, log_gamma, nested_log_sums,
+                       tanh_sinh_indexed)
 
 __all__ = [
     "CoefficientGrid",
@@ -76,6 +78,8 @@ class CoefficientGrid:
                 f"coefficient entry missing field {exc.args[0]!r}") from exc
         except (TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"invalid coefficient entry: {exc}") from exc
+        if not all(map(cmath.isfinite, entries.values())):
+            raise DomainError("coefficient amplitudes must be finite")
         return cls(obj.get("side", "hardy"), entries)
 
     def to_json(self) -> dict:
@@ -210,9 +214,27 @@ def bergman_nu_norm_sq(geom: DomainGeometry, beta: CoefficientGrid,
 # exponential-moment weight (omega)
 # ---------------------------------------------------------------------------
 
-def exp_norm_sq(geom: DomainGeometry, r: float, t: float,
-                level: int = 6) -> LogValue:
-    """log-space squared boundary norm of the exponential e^{<z, .>}
+def _log_exp_norms(geom: DomainGeometry, rs: np.ndarray, lr1t: np.ndarray,
+                   lr2t: np.ndarray, level: int) -> np.ndarray:
+    """log E(r, t) on the outer product of r values and t points, given
+    log r1*(t) and log r2*(t), at s-levels `level` and `level - 1` from the
+    same terms; shape (2, n_r, n_t)."""
+    logw, lr1, lr2, k = _radial_log_nodes(geom, level)
+    radial1 = np.exp(lr1[None, :] + lr1t[:, None])   # (n_t, n_s)
+    radial2 = np.exp(lr2[None, :] + lr2t[:, None])
+    out = np.empty((2, rs.size, lr1t.size))
+    # chunk over r so the (chunk, n_t, n_s) argument arrays stay small
+    chunk = max(1, int(2e6 // radial1.size))
+    for lo in range(0, rs.size, chunk):
+        r = rs[lo:lo + chunk, None, None]
+        out[:, lo:lo + chunk] = nested_log_sums(
+            logw + bessel_i0_log(2.0 * r * radial1)
+            + bessel_i0_log(2.0 * r * radial2), k)
+    return out - _LOG4
+
+
+def exp_norm_sq(geom: DomainGeometry, r: float, t: float) -> float:
+    """log of the squared boundary norm of the exponential e^{<z, .>}
     at z = r (r1*(t), r2*(t)):
 
         E(r, t) = (1/4) int_0^1 I0(2 r r1(s) r1*(t)) I0(2 r r2(s) r2*(t)) ds.
@@ -220,42 +242,14 @@ def exp_norm_sq(geom: DomainGeometry, r: float, t: float,
     The two angular integrals produce the Bessel factors; rotation
     invariance makes the phases of z irrelevant.
     """
-    if r < 0:
-        raise DomainError("exp_norm_sq needs r >= 0")
+    if not 0.0 <= r < math.inf:
+        raise DomainError("exp_norm_sq needs a finite r >= 0")
     if not (0.0 <= t <= 1.0):
         raise DomainError("t must lie in [0, 1]")
-    logw, lr1, lr2, _k = _radial_log_nodes(geom, level)
     lr1t = float(geom.log_r1_star(t)) if t > 0 else -math.inf
     lr2t = float(geom.log_r2_star(t)) if t < 1 else -math.inf
-    a1 = 2.0 * r * np.exp(lr1 + lr1t)
-    a2 = 2.0 * r * np.exp(lr2 + lr2t)
-    terms = logw + bessel_i0_log(a1) + bessel_i0_log(a2)
-    mx = terms.max()
-    return LogValue(float(mx + math.log(np.sum(np.exp(terms - mx)))
-                          - _LOG4), 1)
-
-
-def _omega_log_weight_grid(geom: DomainGeometry, rs: np.ndarray,
-                           t_nodes, level: int) -> np.ndarray:
-    """log E(r, t) on the outer product of r values and t nodes."""
-    x, xm, _w = t_nodes
-    logw, lr1, lr2, _k = _radial_log_nodes(geom, level)
-    lr1t = geom.log_r1_star_xy(x, xm)
-    lr2t = geom.log_r2_star_xy(x, xm)
-    out = np.empty((rs.size, x.size))
-    # chunk over r so the (chunk, n_s, n_t) argument arrays stay small
-    chunk = max(1, int(2e6 // (lr1.size * x.size)))
-    radial1 = np.exp(lr1[:, None] + lr1t[None, :])   # (n_s, n_t)
-    radial2 = np.exp(lr2[:, None] + lr2t[None, :])
-    for lo in range(0, rs.size, chunk):
-        r = rs[lo:lo + chunk, None, None]
-        terms = (logw[None, :, None]
-                 + bessel_i0_log(2.0 * r * radial1[None, :, :])
-                 + bessel_i0_log(2.0 * r * radial2[None, :, :]))
-        mx = terms.max(axis=1)
-        out[lo:lo + chunk] = mx + np.log(
-            np.sum(np.exp(terms - mx[:, None, :]), axis=1)) - _LOG4
-    return out
+    return float(_log_exp_norms(geom, np.array([float(r)]), np.array([lr1t]),
+                                np.array([lr2t]), 6)[0, 0, 0])
 
 
 def bergman_omega_norm_sq(geom: DomainGeometry,
@@ -270,7 +264,10 @@ def bergman_omega_norm_sq(geom: DomainGeometry,
 
     a 2-D quadrature.  The weight grows like e^{2r} r^{-3/2}, so each radial
     integrand behaves like r^{2M + 5/2} e^{-2r}; the r-range is truncated
-    where the log-integrand falls 40 nats below its peak.
+    where the log-integrand falls 40 nats below its peak.  With t at
+    tanh-sinh level 3 and s at level 4, err_est sums each term times its
+    gaps to the s-level-3 and t-level-2 sums (same terms); the Gauss r-rule
+    and the truncation are not estimated.
     """
     if beta.side != "bergman":
         raise DomainError("bergman_omega_norm_sq expects a bergman-side grid")
@@ -278,39 +275,29 @@ def bergman_omega_norm_sq(geom: DomainGeometry,
     if not pairs:
         return _sum_report({}, {}, "exact_parametrized")
 
-    t_nodes = tanh_sinh_nodes_sym(3)
-    x, xm, w = t_nodes
-    lr1t = geom.log_r1_star_xy(x, xm)
-    lr2t = geom.log_r2_star_xy(x, xm)
+    k_t, x, xm, w = tanh_sinh_indexed(3)
+    lr1t, lr2t = geom.log_r1_star_xy(x, xm), geom.log_r2_star_xy(x, xm)
     logw_t = np.log(w)
 
-    max_m = max(k[0] + k[1] for k in pairs)
-    peak = max_m + 1.25
+    peak = max(k[0] + k[1] for k in pairs) + 1.25
     r_max = peak + 40.0 + 6.0 * math.sqrt(peak + 1.0)
     gx, gw = np.polynomial.legendre.leggauss(12)
-    panel = max(2.0, math.sqrt(peak))
-    n_panels = int(math.ceil(r_max / panel))
-    edges = np.linspace(0.0, r_max, n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
-    rs = (mid[:, None] + half * gx[None, :]).ravel()
-    r_weights = np.tile(half * gw, n_panels)
+    n_panels = int(math.ceil(r_max / max(2.0, math.sqrt(peak))))
+    half = 0.5 * r_max / n_panels
+    rs = ((2.0 * np.arange(n_panels) + 1.0)[:, None] + gx).ravel() * half
+    logw_r = np.log(np.tile(half * gw, n_panels))
 
-    log_e = _omega_log_weight_grid(geom, rs, t_nodes, level=4)
-
-    terms = {}
-    with np.errstate(divide="ignore"):
-        log_rs = np.log(rs)
+    log_e = _log_exp_norms(geom, rs, lr1t, lr2t, 4)   # s-levels 4 and 3
+    log_rs = np.log(rs)
+    terms, errs = {}, {}
     for (m1, m2) in pairs:
         m = m1 + m2
-        g = ((2.0 * m + 1.0) * log_rs[:, None]
-             + 2.0 * m1 * lr1t[None, :] + 2.0 * m2 * lr2t[None, :]
-             - log_e
-             + logw_t[None, :])
-        mx = g.max()
-        rel = np.exp(np.maximum(g - mx, -745.0))
-        rel[g < mx - 40.0] = 0.0  # truncation contract: 40 nats below peak
-        inner = float(np.sum(rel * r_weights[:, None]))
-        terms[(m1, m2)] = (_log_abs_sq(beta.entries[(m1, m2)]) - _LOG4
-                           + mx + math.log(inner))
-    return _sum_report(terms, {}, "exact_parametrized")
+        g = ((logw_r + (2.0 * m + 1.0) * log_rs)[:, None]
+             + (logw_t + 2.0 * m1 * lr1t + 2.0 * m2 * lr2t)[None, :]
+             - log_e)
+        fine, coarse = nested_log_sums(g, k_t)    # over t: (2, n_r) each
+        val, val_s3, val_t2 = logsumexp(
+            np.vstack((fine, coarse[:1])), axis=-1)
+        terms[(m1, m2)] = _log_abs_sq(beta.entries[(m1, m2)]) - _LOG4 + val
+        errs[(m1, m2)] = abs(val - val_s3) + abs(val - val_t2)
+    return _sum_report(terms, errs, "exact_parametrized")

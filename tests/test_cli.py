@@ -76,6 +76,10 @@ def test_non_numeric_domain_field(capsys, domain):
 @pytest.mark.parametrize("coeffs", [
     "[1,2]",
     '{"side": "hardy", "entries": [{"m1": "x", "m2": 0}]}',
+    '{"side": "bergman", "entries": [{"m1": 1, "m2": 1, "re": NaN}]}',
+    '{"side": "hardy", "entries": [{"m1": 1, "m2": 1, "re": NaN}]}',
+    '{"side": "hardy", "entries": [{"m1": 1, "m2": 1, "im": Infinity}]}',
+    '{"side": "bergman", "entries": [{"m1": 1, "m2": 1, "re": 1e400}]}',
 ])
 def test_malformed_coefficients(capsys, coeffs):
     code, _out, err = run(capsys, "norms", "--domain", BALL,
@@ -139,6 +143,14 @@ def test_leray_rays_verdict(capsys):
     assert obj["verdict"] == "bounded-consistent"
 
 
+@pytest.mark.parametrize("rays", ["inf", "nan", "-1", "0.5,inf"])
+def test_leray_rays_rejects_bad_rays(capsys, rays):
+    code, _out, err = run(capsys, "leray-rays", "--domain", BALL,
+                          "--max", "16", "--rays", rays)
+    assert code == 1
+    assert _one_line_error(err)
+
+
 def test_laplace_and_norms(capsys, tmp_path):
     coeffs = json.dumps({"side": "hardy",
                          "entries": [{"m1": 1, "m2": 1, "re": 2.0}]})
@@ -167,6 +179,17 @@ def test_norms_bergman_side(capsys):
     obj = json.loads(out)
     assert set(obj) == {"nu_norm_sq", "omega_norm_sq"}
     assert obj["omega_norm_sq"]["value"] > obj["nu_norm_sq"]["value"]
+
+
+def test_norms_omega_error_estimate(capsys):
+    coeffs = json.dumps({"side": "bergman",
+                         "entries": [{"m1": 1, "m2": 1, "re": 1.0}]})
+    code, out, _err = run(capsys, "norms", "--domain",
+                          '{"kind": "egg", "p": 3}', "--coeffs", coeffs,
+                          "--format", "json")
+    assert code == 0
+    omega = json.loads(out)["omega_norm_sq"]
+    assert 0.0 < omega["err_est"] < 1e-6 * omega["value"]
 
 
 @pytest.mark.parametrize("side, amp", [("hardy", 1e300), ("bergman", 1e200)])

@@ -130,6 +130,12 @@ def test_weight_equivalence_guards(ball):
         verify_weight_equivalence(ball, r_range=(0.5, 10.0))
     with pytest.raises(DomainError):
         verify_weight_equivalence(ball, r_range=(5.0, 2.0))
+    for rr in [(float("nan"), 5.0), (2.0, float("inf")), (2.0, float("nan"))]:
+        with pytest.raises(DomainError):
+            verify_weight_equivalence(ball, r_range=rr)
+    for ts in [(), (0.0, 0.5), (0.5, 1.0), (0.5, float("nan")), (-0.2,)]:
+        with pytest.raises(DomainError):
+            verify_weight_equivalence(ball, t_samples=ts)
 
 
 # ---------------------------------------------------------------------------
