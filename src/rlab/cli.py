@@ -72,11 +72,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("laplace", help="transform a hardy coefficient grid")
     common(p)
     p.add_argument("--coeffs", required=True, help="coefficient JSON, or @file")
-    p.add_argument("--max", type=int, default=None)
     p = sub.add_parser("norms", help="norms of a coefficient grid")
     common(p)
     p.add_argument("--coeffs", required=True, help="coefficient JSON, or @file")
-    p.add_argument("--max", type=int, default=None)
     p = sub.add_parser("compare-lemma", help="sampled comparison inequality")
     common(p)
     p.add_argument("--samples", type=int, default=100_000)
@@ -119,14 +117,10 @@ def _emit(args, header, rows, json_obj) -> None:
 # ---------------------------------------------------------------------------
 
 def _run_describe(args) -> int:
-    info = _geom(args).describe()
-    rows = [(k, v) for k, v in sorted(info.items())]
-    _emit(args, ["field", "value"], rows, info)
-    return EXIT_OK
-
-
-def _run_dual(args) -> int:
-    info = geometry.dual_complement(_geom(args)).describe()
+    geom = _geom(args)
+    if args.verb == "dual":
+        geom = geometry.dual_complement(geom)
+    info = geom.describe()
     rows = [(k, v) for k, v in sorted(info.items())]
     _emit(args, ["field", "value"], rows, info)
     return EXIT_OK
@@ -186,9 +180,7 @@ def _run_leray_rays(args) -> int:
 def _run_laplace(args) -> int:
     geom = _geom(args)
     grid = _coeffs(args)
-    m1, m2 = _max_degrees(grid)
-    mmax = args.max if args.max is not None else max(m1, m2)
-    table = leray.moment_table(geom, max(m1, mmax), max(m2, mmax))
+    table = leray.moment_table(geom, *_max_degrees(grid))
     image = transform.laplace_map(geom, grid, table)
     rows = [(k[0], k[1], v.real, v.imag)
             for k, v in sorted(image.entries.items())]
@@ -199,10 +191,9 @@ def _run_laplace(args) -> int:
 def _run_norms(args) -> int:
     geom = _geom(args)
     grid = _coeffs(args)
-    m1, m2 = _max_degrees(grid)
     results = {}
     if grid.side == "hardy":
-        table = leray.moment_table(geom, m1, m2)
+        table = leray.moment_table(geom, *_max_degrees(grid))
         hn = transform.hardy_norm_sq(geom, grid, table)
         image = transform.laplace_map(geom, grid, table)
         beta = transform.CoefficientGrid(
@@ -246,7 +237,7 @@ def _run_weight_equiv(args) -> int:
     rows = [("rho_min", rep.rho_min), ("rho_max", rep.rho_max),
             ("ratio", rep.ratio), ("pass", rep.passed)]
     _emit(args, ["field", "value"], rows, obj)
-    return EXIT_OK
+    return EXIT_OK if rep.passed else EXIT_HYPOTHESIS
 
 
 def _run_counterexample(args) -> int:
@@ -266,7 +257,7 @@ def _run_counterexample(args) -> int:
 
 _VERBS = {
     "describe": _run_describe,
-    "dual": _run_dual,
+    "dual": _run_describe,
     "curvature": _run_curvature,
     "leray-grid": _run_leray_grid,
     "leray-rays": _run_leray_rays,

@@ -72,9 +72,7 @@ class Expr:
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out = self._fn(s)
-        return np.broadcast_to(np.asarray(out, dtype=float), s.shape).copy() \
-            if np.ndim(out) == 0 and s.ndim > 0 else np.asarray(out, dtype=float)
+            return np.asarray(self._fn(s), dtype=float)
 
     def __repr__(self):
         return f"Expr({self.source!r})"

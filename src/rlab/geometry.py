@@ -45,6 +45,12 @@ __all__ = [
 _VALIDATION_GRID = np.linspace(1e-6, 1.0 - 1e-6, 513)
 
 
+def _log(x):
+    """np.log with log 0 = -inf and no divide warning."""
+    with np.errstate(divide="ignore"):
+        return np.log(x)
+
+
 # ---------------------------------------------------------------------------
 # exponent profiles
 # ---------------------------------------------------------------------------
@@ -62,16 +68,15 @@ class ExponentProfile:
     b2: float
     p_fn: Callable[[np.ndarray], np.ndarray]
     meta: dict = field(default_factory=dict)
+    # the constant exponent value, or None if p varies with s; decided once,
+    # from the validation samples
+    constant_p: Optional[float] = field(init=False)
 
     def __post_init__(self):
         if self.b1 <= 0 or self.b2 <= 0:
             raise DomainError("axis intercepts b1, b2 must be positive")
-        self._validate_samples()
-
-    def _validate_samples(self):
         try:
-            with np.errstate(all="ignore"):
-                vals = np.asarray(self.p_fn(_VALIDATION_GRID), dtype=float)
+            vals = self(_VALIDATION_GRID)
         except Exception as exc:  # noqa: BLE001 - surface as library error
             raise NonEvaluableProfile(str(exc)) from exc
         if vals.shape != _VALIDATION_GRID.shape or not np.all(np.isfinite(vals)):
@@ -81,25 +86,15 @@ class ExponentProfile:
             bad = float(_VALIDATION_GRID[np.argmin(vals)])
             raise ExponentOutOfRange(
                 f"p(s) <= 1 detected near s = {bad:.6g}")
+        lo, hi = float(vals.min()), float(vals.max())
+        # halves first, so that a huge constant p does not overflow
+        object.__setattr__(self, "constant_p", 0.5 * lo + 0.5 * hi
+                           if hi - lo <= 1e-13 * hi else None)
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
         with np.errstate(all="ignore"):
-            out = np.asarray(self.p_fn(s), dtype=float)
-        if out.shape != s.shape:
-            out = np.broadcast_to(out, s.shape).copy()
-        return out
-
-    @property
-    def constant_p(self) -> Optional[float]:
-        """The constant exponent value, or None if p varies with s."""
-        if self.kind == "egg":
-            return float(self.meta["p"])
-        vals = self(_VALIDATION_GRID)
-        lo, hi = float(vals.min()), float(vals.max())
-        if hi - lo <= 1e-13 * max(1.0, abs(hi)):
-            return 0.5 * (lo + hi)
-        return None
+            return np.asarray(self.p_fn(s), dtype=float)
 
 
 def egg_profile(p: float, a1: float = 1.0, a2: float = 1.0) -> ExponentProfile:
@@ -268,18 +263,9 @@ class DomainGeometry:
             self._lr1_xy = _log_r1_xy
             self._lr2_xy = _log_r2_xy
         elif const_p is not None:
-            lb1, lb2, inv_p = math.log(profile.b1), math.log(profile.b2), 1.0 / const_p
-
-            def _egg_log_r1(s, sm, c=lb1, q=inv_p):
-                with np.errstate(divide="ignore"):
-                    return c + q * np.log(s)
-
-            def _egg_log_r2(s, sm, c=lb2, q=inv_p):
-                with np.errstate(divide="ignore"):
-                    return c + q * np.log(sm)
-
-            self._lr1_xy = _egg_log_r1
-            self._lr2_xy = _egg_log_r2
+            lb1, lb2, q = math.log(profile.b1), math.log(profile.b2), 1.0 / const_p
+            self._lr1_xy = lambda s, sm: lb1 + q * _log(s)
+            self._lr2_xy = lambda s, sm: lb2 + q * _log(sm)
         else:
             self._lr1_xy = self._quadrature_log_r1
             self._lr2_xy = self._quadrature_log_r2
@@ -310,14 +296,10 @@ class DomainGeometry:
         return self._lr2_xy(np.asarray(s, float), np.asarray(sm, float))
 
     def log_r1_star_xy(self, s, sm):
-        s = np.asarray(s, dtype=float)
-        with np.errstate(divide="ignore"):
-            return np.log(s) - self.log_r1_xy(s, sm)
+        return _log(s) - self.log_r1_xy(s, sm)
 
     def log_r2_star_xy(self, s, sm):
-        sm = np.asarray(sm, dtype=float)
-        with np.errstate(divide="ignore"):
-            return np.log(sm) - self.log_r2_xy(s, sm)
+        return _log(sm) - self.log_r2_xy(s, sm)
 
     def log_r1(self, s):
         s = np.asarray(s, dtype=float)
@@ -337,8 +319,7 @@ class DomainGeometry:
 
     def log_r1_star(self, s):
         s = np.asarray(s, dtype=float)
-        with np.errstate(divide="ignore"):
-            return np.log(s) - self.log_r1(s)
+        return _log(s) - self.log_r1(s)
 
     def log_r2_star(self, s):
         s = np.asarray(s, dtype=float)
@@ -439,18 +420,8 @@ def dual_complement(geom: DomainGeometry) -> DomainGeometry:
         p = src(s)
         return p / (p - 1.0)
 
-    if src.kind == "egg":
-        p = src.meta["p"]
-        ps = p / (p - 1.0)
-        star = ExponentProfile(
-            "egg", 1.0 / src.b1, 1.0 / src.b2,
-            lambda s, _p=ps: np.full_like(np.asarray(s, float), _p),
-            meta={"p": ps, "a1": (1.0 / src.b1) ** (-ps),
-                  "a2": (1.0 / src.b2) ** (-ps)})
-    else:
-        star = ExponentProfile("conjugate", 1.0 / src.b1, 1.0 / src.b2,
-                               p_star, meta={"base_kind": src.kind})
-
+    star = ExponentProfile("egg" if src.kind == "egg" else "conjugate",
+                           1.0 / src.b1, 1.0 / src.b2, p_star)
     return DomainGeometry(star,
                           _log_r1_xy=geom.log_r1_star_xy,
                           _log_r2_xy=geom.log_r2_star_xy)

@@ -240,19 +240,17 @@ def boundedness_report(geom: DomainGeometry, M: int,
         raise DomainError("boundedness_report needs M >= 16")
     if not all(math.isfinite(x) and x >= 0.0 for x in rays):
         raise DomainError("rays must be finite and non-negative")
-    dual = dual_complement(geom)
-    grid = leray_norm_grid(geom, M, M, dual=dual)
+    grid = leray_norm_grid(geom, M, M)
     sup_small, _ = _grid_sup(grid, M // 4)
     sup_full, argmax = _grid_sup(grid, M)
     growth = sup_full / sup_small
 
+    ns = sorted({max(2, M // 8), M // 4, M // 2, 3 * M // 4, M})
     diagnostics = []
     for x in rays:
-        degrees = [max(2, M // 8), M // 4, M // 2, 3 * M // 4, M]
-        ns = sorted({int(n) for n in degrees})
-        pairs_m = np.array([min(M, round(x * n)) for n in ns], dtype=float)
-        pairs_n = np.array(ns, dtype=float)
-        vals = np.exp(_leray_entries(geom, dual, pairs_m, pairs_n))
+        # int(): numpy 1.x rounds a numpy float to a float
+        ms = [min(M, int(round(x * n))) for n in ns]
+        vals = np.exp(grid.log_norm_sq[ms, ns])
         pred = ray_limit_predictor(geom, x)
         res = extrapolate_limit(vals)
         dev = (abs(res.limit - pred.value) / pred.value

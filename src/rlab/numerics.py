@@ -69,7 +69,10 @@ def tanh_sinh_indexed(level: int):
 
 
 def tanh_sinh_nodes_sym(level: int):
-    """Tanh-sinh abscissae x, complements 1 - x and weights on (0, 1)."""
+    """Tanh-sinh abscissae x, complements 1 - x and weights on (0, 1).
+
+    No library code calls it; it is the node rule of the moment oracle in
+    the acceptance suite (criterion 3)."""
     _k, x, xm, w = tanh_sinh_indexed(level)
     return x, xm, w
 

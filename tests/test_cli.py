@@ -239,6 +239,14 @@ def test_weight_equiv(capsys):
     assert obj["ratio"] < 1.5
 
 
+def test_weight_equiv_failure_exit(capsys):
+    # the egg p = 8 varies its weight by a factor ~2, over the allowed 1.5
+    code, out, _err = run(capsys, "weight-equiv", "--domain",
+                          '{"kind": "egg", "p": 8}')
+    assert code == 2
+    assert "pass,false" in out.splitlines()
+
+
 def test_counterexample(capsys):
     code, out, _err = run(capsys, "counterexample", "--kmax", "200",
                           "--format", "json")

@@ -7,6 +7,7 @@ checked; duality identities r1* r1 = s and r2* r2 = 1 - s are exact and hold
 for every profile.
 """
 
+import dataclasses
 import json
 import math
 
@@ -21,6 +22,7 @@ from rlab.geometry import (DomainGeometry, ExponentProfile, _integrals_to_zero,
                            domain_from_exponent, domain_from_spec,
                            dual_complement, egg_profile, expression_profile,
                            tabulated_profile)
+from rlab.leray import moment_table
 
 EX_PROFILE = "2+1/log(10/s)"
 
@@ -73,6 +75,32 @@ def test_expression_profile_validation():
 def test_expression_profile_constant_detection():
     assert expression_profile("3").constant_p == pytest.approx(3.0)
     assert expression_profile(EX_PROFILE).constant_p is None
+
+
+def test_constant_exponent_is_decided_once():
+    # the 513 validation samples decide constant_p at construction; reading
+    # it, building the geometry and its moments sample that grid no more
+    sizes = []
+
+    def p_fn(s):
+        sizes.append(s.size)
+        return np.full_like(s, 3.0)
+
+    prof = ExponentProfile("expression", 1.0, 1.0, p_fn)
+    assert sizes == [513]
+    assert prof.constant_p == 3.0
+    assert sizes == [513]
+    moment_table(DomainGeometry(prof), 4, 4)
+    assert sizes.count(513) == 1
+
+
+def test_constant_exponent_is_read_only():
+    prof = expression_profile("3")
+    assert prof.constant_p == 3.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        prof.constant_p = 2.0
+    with pytest.raises(TypeError):
+        ExponentProfile("expression", 1.0, 1.0, prof.p_fn, constant_p=2.0)
 
 
 def test_profile_rejects_bad_intercepts():
@@ -206,6 +234,19 @@ def test_dual_egg_conjugate_exponent():
     # dual of the ball is the ball
     ball2 = dual_complement(domain_from_exponent(egg_profile(2.0)))
     assert ball2.profile.constant_p == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 7.3])
+def test_dual_egg_exponent_is_exact(p):
+    dual = dual_complement(domain_from_exponent(egg_profile(p)))
+    q = p / (p - 1.0)
+    assert dual.profile.kind == "egg"
+    assert dual.profile.constant_p == q
+    back = dual_complement(dual)
+    assert back.profile.kind == "egg"
+    assert back.profile.constant_p == q / (q - 1.0)
+    if p != 7.3:  # there p -> p/(p-1) twice rounds 4 ulps away from p
+        assert back.profile.constant_p == p
 
 
 def test_dual_radial_grid(varying):

@@ -13,7 +13,7 @@ import pytest
 from rlab.errors import DomainError, IndexOutOfTable
 from rlab.geometry import (domain_from_exponent, dual_complement, egg_profile,
                            expression_profile, tabulated_profile)
-from rlab.leray import (_radial_log_nodes, axis_limit_probe,
+from rlab.leray import (_leray_entries, _radial_log_nodes, axis_limit_probe,
                         boundedness_report, leray_norm_grid, log_gamma_factor,
                         moment_table, ray_limit_predictor)
 from rlab.numerics import tanh_sinh_indexed
@@ -184,6 +184,23 @@ def test_varying_bounded_verdict(varying):
     assert rep.verdict == "bounded-consistent"
     for d in rep.rays:
         assert d.rel_dev is not None and d.rel_dev < 0.05
+
+
+@pytest.mark.parametrize("profile", [
+    expression_profile(EX_PROFILE),
+    tabulated_profile(np.linspace(0.0, 1.0, 5), [2.0, 3.0, 2.2, 4.0, 2.5]),
+    egg_profile(3.0)], ids=["expression", "table", "egg3"])
+def test_ray_values_are_the_entries(profile):
+    # the report reads its rays off the norm grid; each value is the norm
+    # at the ray's degree pair, evaluated on its own
+    geom = domain_from_exponent(profile)
+    dual = dual_complement(geom)
+    rep = boundedness_report(geom, 32)
+    for d in rep.rays:
+        m = np.array([min(32, round(d.x * n)) for n in d.degrees], float)
+        n = np.array(d.degrees, float)
+        assert np.array_equal(np.array(d.values),
+                              np.exp(_leray_entries(geom, dual, m, n)))
 
 
 def test_boundedness_requires_moderate_degree(ball):
