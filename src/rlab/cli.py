@@ -47,112 +47,82 @@ def _build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="verb", metavar="verb")
 
-    def common(p, domain=True):
+    def verb(name, summary, domain=True):
+        p = sub.add_parser(name, help=summary)
         if domain:
             p.add_argument("--domain", required=True,
                            help="domain spec JSON, or @file")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
+        return p
 
-    p = sub.add_parser("describe", help="profile, limits, membership flags")
-    common(p)
-    p = sub.add_parser("dual", help="describe the dual-complement domain")
-    common(p)
-    p = sub.add_parser("curvature", help="principal curvatures on an s grid")
-    common(p)
+    verb("describe", "profile, limits, membership flags")
+    verb("dual", "describe the dual-complement domain")
+    p = verb("curvature", "principal curvatures on an s grid")
     p.add_argument("--samples", type=int, default=99)
-    p = sub.add_parser("leray-grid", help="log squared norms up to --max")
-    common(p)
+    p = verb("leray-grid", "log squared norms up to --max")
     p.add_argument("--max", type=int, default=20)
-    p = sub.add_parser("leray-rays", help="ray sequences and boundedness verdict")
-    common(p)
+    p = verb("leray-rays", "ray sequences and boundedness verdict")
     p.add_argument("--max", type=int, default=64)
     p.add_argument("--rays", default="0.25,1,4",
                    help="comma-separated degree ratios")
-    p = sub.add_parser("laplace", help="transform a hardy coefficient grid")
-    common(p)
+    p = verb("laplace", "transform a hardy coefficient grid")
     p.add_argument("--coeffs", required=True, help="coefficient JSON, or @file")
-    p = sub.add_parser("norms", help="norms of a coefficient grid")
-    common(p)
+    p = verb("norms", "norms of a coefficient grid")
     p.add_argument("--coeffs", required=True, help="coefficient JSON, or @file")
-    p = sub.add_parser("compare-lemma", help="sampled comparison inequality")
-    common(p)
+    p = verb("compare-lemma", "sampled comparison inequality")
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
-    p = sub.add_parser("weight-equiv", help="exponential weight stability")
-    common(p)
+    p = verb("weight-equiv", "exponential weight stability")
     p.add_argument("--samples", type=int, default=5,
                    help="number of t samples in (0, 1)")
-    p = sub.add_parser("counterexample",
-                       help="witness series on the |z1|+|z2|<1 ball")
-    common(p, domain=False)
+    p = verb("counterexample", "witness series on the |z1|+|z2|<1 ball",
+             domain=False)
     p.add_argument("--kmax", type=int, default=10_000)
     return parser
 
 
-def _geom(args) -> geometry.DomainGeometry:
-    return geometry.domain_from_spec(_load_arg(args.domain))
-
-
 def _coeffs(args) -> transform.CoefficientGrid:
-    import json
-    return transform.CoefficientGrid.from_json(json.loads(_load_arg(args.coeffs)))
+    return transform.CoefficientGrid.from_json(_load_arg(args.coeffs))
 
 
 def _max_degrees(grid: transform.CoefficientGrid):
-    m1 = max((k[0] for k in grid.entries), default=0)
-    m2 = max((k[1] for k in grid.entries), default=0)
-    return m1, m2
-
-
-def _emit(args, header, rows, json_obj) -> None:
-    if args.format == "json":
-        write_text(emit_json(json_obj), args.out)
-    else:
-        write_text(emit_csv(header, rows), args.out)
+    return [max((k[i] for k in grid.entries), default=0) for i in (0, 1)]
 
 
 # ---------------------------------------------------------------------------
-# verb implementations
+# verb implementations: each takes (args, geom) and returns
+# (csv header, csv rows, json object, exit code); main writes the output
 # ---------------------------------------------------------------------------
 
-def _run_describe(args) -> int:
-    geom = _geom(args)
+def _run_describe(args, geom):
     if args.verb == "dual":
         geom = geometry.dual_complement(geom)
     info = geom.describe()
-    rows = [(k, v) for k, v in sorted(info.items())]
-    _emit(args, ["field", "value"], rows, info)
-    return EXIT_OK
+    return ["field", "value"], sorted(info.items()), info, EXIT_OK
 
 
-def _run_curvature(args) -> int:
-    geom = _geom(args)
+def _run_curvature(args, geom):
     ss = np.linspace(0.0, 1.0, args.samples + 2)[1:-1]
     rows = []
     for s in ss:
         c = geometry.curvatures_at(geom, float(s))
         rows.append((float(s), c.kappa1, c.kappa2, c.kappa3, c.p_recovered))
     header = ["s", "kappa1", "kappa2", "kappa3", "p_recovered"]
-    _emit(args, header, rows,
-          [dict(zip(header, r)) for r in rows])
-    return EXIT_OK
+    return header, rows, [dict(zip(header, r)) for r in rows], EXIT_OK
 
 
-def _run_leray_grid(args) -> int:
-    geom = _geom(args)
+def _run_leray_grid(args, geom):
     grid = leray.leray_norm_grid(geom, args.max, args.max)
     rows = [(m1, m2, float(grid.log_norm_sq[m1, m2]), float(grid.err[m1, m2]))
             for m1 in range(args.max + 1) for m2 in range(args.max + 1)]
-    _emit(args, ["m1", "m2", "log_norm_sq", "err_est"], rows,
-          {"M": args.max,
-           "entries": [{"m1": r[0], "m2": r[1], "log_norm_sq": r[2],
-                        "err_est": r[3]} for r in rows]})
-    return EXIT_OK if bool(grid.converged.all()) else EXIT_NONCONVERGENCE
+    header = ["m1", "m2", "log_norm_sq", "err_est"]
+    obj = {"M": args.max, "entries": [dict(zip(header, r)) for r in rows]}
+    code = EXIT_OK if bool(grid.converged.all()) else EXIT_NONCONVERGENCE
+    return header, rows, obj, code
 
 
-def _run_leray_rays(args) -> int:
-    geom = _geom(args)
+def _run_leray_rays(args, geom):
     rays = [float(x) for x in args.rays.split(",") if x.strip()]
     rep = leray.boundedness_report(geom, args.max, rays)
     rows = []
@@ -169,38 +139,31 @@ def _run_leray_rays(args) -> int:
                      "extrapolated": d.extrapolated,
                      "predicted": d.predicted, "rel_dev": d.rel_dev,
                      "converged": d.converged} for d in rep.rays]}
-    _emit(args, ["x", "n", "norm_sq", "extrapolated", "predicted", "rel_dev"],
-          rows, obj)
     # an inconclusive verdict means the numeric evidence did not settle
-    if rep.verdict == "inconclusive":
-        return EXIT_NONCONVERGENCE
-    return EXIT_OK
+    code = EXIT_NONCONVERGENCE if rep.verdict == "inconclusive" else EXIT_OK
+    return (["x", "n", "norm_sq", "extrapolated", "predicted", "rel_dev"],
+            rows, obj, code)
 
 
-def _run_laplace(args) -> int:
-    geom = _geom(args)
+def _run_laplace(args, geom):
     grid = _coeffs(args)
     table = leray.moment_table(geom, *_max_degrees(grid))
     image = transform.laplace_map(geom, grid, table)
     rows = [(k[0], k[1], v.real, v.imag)
             for k, v in sorted(image.entries.items())]
-    _emit(args, ["m1", "m2", "re", "im"], rows, image.to_json())
-    return EXIT_OK
+    return ["m1", "m2", "re", "im"], rows, image.to_json(), EXIT_OK
 
 
-def _run_norms(args) -> int:
-    geom = _geom(args)
+def _run_norms(args, geom):
     grid = _coeffs(args)
     results = {}
     if grid.side == "hardy":
         table = leray.moment_table(geom, *_max_degrees(grid))
-        hn = transform.hardy_norm_sq(geom, grid, table)
+        results["hardy_norm_sq"] = transform.hardy_norm_sq(geom, grid, table)
         image = transform.laplace_map(geom, grid, table)
-        beta = transform.CoefficientGrid(
-            "bergman", dict(image.entries))
-        nn = transform.bergman_nu_norm_sq(geom, beta)
-        results["hardy_norm_sq"] = hn
-        results["laplace_image_nu_norm_sq"] = nn
+        beta = transform.CoefficientGrid("bergman", dict(image.entries))
+        results["laplace_image_nu_norm_sq"] = transform.bergman_nu_norm_sq(
+            geom, beta)
     else:
         beta = grid if grid.side == "bergman" else transform.CoefficientGrid(
             "bergman", dict(grid.entries))
@@ -208,51 +171,43 @@ def _run_norms(args) -> int:
         results["omega_norm_sq"] = transform.bergman_omega_norm_sq(geom, beta)
     rows = [(name, rep.value, rep.err_est, rep.convention)
             for name, rep in results.items()]
-    _emit(args, ["norm", "value", "err_est", "convention"], rows,
-          {name: {"value": rep.value, "log_value": rep.log_value,
+    obj = {name: {"value": rep.value, "log_value": rep.log_value,
                   "err_est": rep.err_est, "convention": rep.convention}
-           for name, rep in results.items()})
-    return EXIT_OK
+           for name, rep in results.items()}
+    return ["norm", "value", "err_est", "convention"], rows, obj, EXIT_OK
 
 
-def _run_compare_lemma(args) -> int:
-    geom = _geom(args)
+def _run_compare_lemma(args, geom):
     rep = diagnostics.verify_comparison_lemma(geom, args.samples, args.seed)
     obj = {"grid_size": rep.grid_size, "empirical_min": rep.empirical_min,
            "empirical_max": rep.empirical_max, "theory_C1": rep.theory_C1,
            "theory_C2": rep.theory_C2, "p_l": rep.p_l, "p_g": rep.p_g,
            "violations": rep.violations, "pass": rep.passed,
            "seed": rep.seed}
-    _emit(args, ["field", "value"], sorted(obj.items()), obj)
-    return EXIT_OK if rep.passed else EXIT_HYPOTHESIS
+    code = EXIT_OK if rep.passed else EXIT_HYPOTHESIS
+    return ["field", "value"], sorted(obj.items()), obj, code
 
 
-def _run_weight_equiv(args) -> int:
-    geom = _geom(args)
+def _run_weight_equiv(args, geom):
     ts = tuple(np.linspace(0.0, 1.0, args.samples + 2)[1:-1])
     rep = diagnostics.verify_weight_equivalence(geom, t_samples=ts)
     obj = {"r_values": list(rep.r_values), "t_values": list(rep.t_values),
            "rho_min": rep.rho_min, "rho_max": rep.rho_max,
            "ratio": rep.ratio, "factor": rep.factor, "pass": rep.passed}
-    rows = [("rho_min", rep.rho_min), ("rho_max", rep.rho_max),
-            ("ratio", rep.ratio), ("pass", rep.passed)]
-    _emit(args, ["field", "value"], rows, obj)
-    return EXIT_OK if rep.passed else EXIT_HYPOTHESIS
+    rows = [(k, obj[k]) for k in ("rho_min", "rho_max", "ratio", "pass")]
+    code = EXIT_OK if rep.passed else EXIT_HYPOTHESIS
+    return ["field", "value"], rows, obj, code
 
 
-def _run_counterexample(args) -> int:
+def _run_counterexample(args, geom):
     rep = diagnostics.l1ball_counterexample(args.kmax)
-    thin = max(1, args.kmax // 1000)
-    obj = rep.as_dict(thin=thin)
-    rows = [(int(k), hs, nf, ng, og)
-            for k, hs, nf, ng, og in zip(
-                obj["k"], obj["hardy_partial_sums"],
-                obj["bergman_nu_F_partial_sums"],
-                obj["bergman_nu_G_partial_sums"],
-                obj["bergman_omega_G_partial_sums"])]
-    _emit(args, ["k", "hardy_partial", "nu_F_partial", "nu_G_partial",
-                 "omega_G_partial"], rows, obj)
-    return EXIT_OK
+    obj = rep.as_dict(thin=max(1, args.kmax // 1000))
+    rows = list(zip(obj["k"], obj["hardy_partial_sums"],
+                    obj["bergman_nu_F_partial_sums"],
+                    obj["bergman_nu_G_partial_sums"],
+                    obj["bergman_omega_G_partial_sums"]))
+    return (["k", "hardy_partial", "nu_F_partial", "nu_G_partial",
+             "omega_G_partial"], rows, obj, EXIT_OK)
 
 
 _VERBS = {
@@ -275,7 +230,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.verb is None:
             raise _UsageError("a verb is required")
-        return _VERBS[args.verb](args)
+        geom = (geometry.domain_from_spec(_load_arg(args.domain))
+                if hasattr(args, "domain") else None)
+        header, rows, obj, code = _VERBS[args.verb](args, geom)
+        write_text(emit_json(obj) if args.format == "json"
+                   else emit_csv(header, rows), args.out)
+        return code
     except _UsageError as exc:
         sys.stderr.write(f"error: {exc}\n\n")
         parser.print_usage(sys.stderr)

@@ -152,15 +152,18 @@ class WeightEquivalenceReport:
     passed: bool
 
 
+WEIGHT_FACTOR = 1.5  # the spread max/min that the weight check allows
+
+
 def verify_weight_equivalence(geom: DomainGeometry,
                               r_range: tuple = (2.0, 50.0),
-                              t_samples: Sequence[float] = (0.1, 0.3, 0.5, 0.7, 0.9),
-                              factor: float = 1.5) -> WeightEquivalenceReport:
+                              t_samples: Sequence[float] = (0.1, 0.3, 0.5, 0.7, 0.9)
+                              ) -> WeightEquivalenceReport:
     """Stability of rho(r, t) = e^{-2r} (r ||(r1*, r2*)(t)||)^{3/2} E(r, t).
 
     E is the squared boundary norm of the exponential (exp_norm_sq).  The
     equivalence is asserted only away from the origin, so r below 1 is
-    rejected, and at interior t only.  passed means max/min < factor
+    rejected, and at interior t only.  passed means max/min < WEIGHT_FACTOR
     across the sampled grid.
     """
     r_lo, r_hi = float(r_range[0]), float(r_range[1])
@@ -180,7 +183,8 @@ def verify_weight_equivalence(geom: DomainGeometry,
     lo, hi = float(vals.min()), float(vals.max())
     return WeightEquivalenceReport(tuple(float(r) for r in rs),
                                    tuple(ts.tolist()),
-                                   lo, hi, hi / lo, factor, hi / lo < factor)
+                                   lo, hi, hi / lo, WEIGHT_FACTOR,
+                                   hi / lo < WEIGHT_FACTOR)
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,7 @@ class ExponentProfile:
     b1: float
     b2: float
     p_fn: Callable[[np.ndarray], np.ndarray]
-    meta: dict = field(default_factory=dict)
+    knots: tuple = ()  # the s where p is not smooth (a table's samples)
     # the constant exponent value, or None if p varies with s; decided once,
     # from the validation samples
     constant_p: Optional[float] = field(init=False)
@@ -106,15 +106,13 @@ def egg_profile(p: float, a1: float = 1.0, a2: float = 1.0) -> ExponentProfile:
     b1 = a1 ** (-1.0 / p)
     b2 = a2 ** (-1.0 / p)
     return ExponentProfile("egg", b1, b2,
-                           lambda s, _p=float(p): np.full_like(np.asarray(s, float), _p),
-                           meta={"p": float(p), "a1": float(a1), "a2": float(a2)})
+                           lambda s, _p=float(p): np.full_like(np.asarray(s, float), _p))
 
 
 def expression_profile(source: str | Expr, b1: float = 1.0,
                        b2: float = 1.0) -> ExponentProfile:
     expr = source if isinstance(source, Expr) else parse_expr(source)
-    return ExponentProfile("expression", b1, b2, expr,
-                           meta={"source": expr.source})
+    return ExponentProfile("expression", b1, b2, expr)
 
 
 def tabulated_profile(s_samples, p_samples, b1: float = 1.0,
@@ -148,7 +146,7 @@ def tabulated_profile(s_samples, p_samples, b1: float = 1.0,
         return out
 
     return ExponentProfile("tabulated", b1, b2, p_fn,
-                           meta={"s": s_arr.tolist(), "p": p_arr.tolist()})
+                           knots=tuple(s_arr.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -281,13 +279,13 @@ class DomainGeometry:
         p = self.profile
         return math.log(p.b1) - _integrals_to_zero(
             lambda u: 1.0 / p(np.clip(np.exp(u), *_OPEN)), s,
-            np.array(p.meta.get("s", [])))
+            np.array(p.knots))
 
     def _quadrature_log_r2(self, s: np.ndarray, sm: np.ndarray) -> np.ndarray:
         p = self.profile
         return math.log(p.b2) - _integrals_to_zero(
             lambda u: 1.0 / p(np.clip(-np.expm1(u), *_OPEN)), sm,
-            1.0 - np.array(p.meta.get("s", [])))
+            1.0 - np.array(p.knots))
 
     def log_r1_xy(self, s, sm):
         return self._lr1_xy(np.asarray(s, float), np.asarray(sm, float))
@@ -349,7 +347,7 @@ class DomainGeometry:
             if not np.all(np.isfinite(vals)):
                 limits[end] = math.inf
                 continue
-            if vals[-1] > 1e6 and vals[-1] > 2.0 * vals[len(vals) // 2]:
+            if vals[-1] > 1e6 and 0.5 * vals[-1] > vals[len(vals) // 2]:
                 limits[end] = math.inf
                 continue
             res = extrapolate_limit(vals)
@@ -420,8 +418,12 @@ def dual_complement(geom: DomainGeometry) -> DomainGeometry:
         p = src(s)
         return p / (p - 1.0)
 
-    star = ExponentProfile("egg" if src.kind == "egg" else "conjugate",
-                           1.0 / src.b1, 1.0 / src.b2, p_star)
+    try:
+        star = ExponentProfile("egg" if src.kind == "egg" else "conjugate",
+                               1.0 / src.b1, 1.0 / src.b2, p_star)
+    except ExponentOutOfRange as exc:  # p > 1, so only rounding gets here
+        raise ExponentOutOfRange("the dual's exponent p/(p - 1) rounds to 1 "
+                                 "in double precision: p is too large") from exc
     return DomainGeometry(star,
                           _log_r1_xy=geom.log_r1_star_xy,
                           _log_r2_xy=geom.log_r2_star_xy)

@@ -156,8 +156,8 @@ def extrapolate_limit(seq: Sequence[float]) -> ExtrapolationResult:
     rows = [s]
     cur = s
     while cur.size >= 3:
-        d2 = cur[2:] - 2.0 * cur[1:-1] + cur[:-2]
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            d2 = cur[2:] - 2.0 * cur[1:-1] + cur[:-2]
             nxt = cur[2:] - (cur[2:] - cur[1:-1]) ** 2 / np.where(d2 == 0.0, np.nan, d2)
         if not np.all(np.isfinite(nxt)):
             break

@@ -12,6 +12,8 @@ from rlab.cli import main
 BALL = '{"kind": "egg", "p": 2}'
 EGG4 = '{"kind": "egg", "p": 4}'
 VARYING = '{"kind": "expr", "p_check": "2+1/log(10/s)"}'
+HARDY = json.dumps({"side": "hardy",
+                    "entries": [{"m1": 1, "m2": 1, "re": 2.0}]})
 
 
 def run(capsys, *argv):
@@ -230,6 +232,18 @@ def test_compare_lemma_hypothesis_exit(capsys):
     assert "hypothesis" in err
 
 
+@pytest.mark.parametrize("argv", [["dual"], ["leray-grid", "--max", "2"]],
+                         ids=lambda argv: argv[0])
+def test_dual_exponent_rounding_to_one(capsys, argv):
+    # p/(p - 1) is 1.0 in doubles for p = 1e16; the message names the dual's
+    # exponent, not p(s) of the domain given
+    code, _out, err = run(capsys, *argv, "--domain",
+                          '{"kind": "egg", "p": 1e16}')
+    assert code == 1
+    assert _one_line_error(err)
+    assert "p/(p - 1)" in err
+
+
 def test_weight_equiv(capsys):
     code, out, _err = run(capsys, "weight-equiv", "--domain", BALL,
                           "--format", "json")
@@ -278,6 +292,29 @@ def test_out_file(capsys, tmp_path):
     assert out == ""
     text = path.read_text(encoding="utf-8")
     assert text.splitlines()[0] == "m1,m2,log_norm_sq,err_est"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", [
+    ["describe", "--domain", BALL],
+    ["dual", "--domain", EGG4],
+    ["curvature", "--domain", BALL, "--samples", "3"],
+    ["leray-grid", "--domain", VARYING, "--max", "2"],
+    ["leray-rays", "--domain", BALL, "--max", "16"],
+    ["laplace", "--domain", BALL, "--coeffs", HARDY],
+    ["norms", "--domain", BALL, "--coeffs", HARDY],
+    ["compare-lemma", "--domain", EGG4, "--samples", "100"],
+    ["weight-equiv", "--domain", '{"kind": "egg", "p": 8}'],
+    ["counterexample", "--kmax", "20"],
+], ids=lambda argv: argv[0])
+def test_out_file_equals_stdout(capsys, tmp_path, argv, fmt):
+    # every verb's output goes through one write: --out FILE gets the bytes
+    # stdout would, and the exit code does not depend on where they go
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    path = tmp_path / "out"
+    assert run(capsys, *argv, "--format", fmt, "--out", str(path)) == (
+        code, "", err)
+    assert out and path.read_text(encoding="utf-8") == out
 
 
 def test_byte_identical_reruns(capsys):

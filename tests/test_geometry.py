@@ -10,6 +10,7 @@ for every profile.
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from rlab.geometry import (DomainGeometry, ExponentProfile, _integrals_to_zero,
                            dual_complement, egg_profile, expression_profile,
                            tabulated_profile)
 from rlab.leray import moment_table
+from rlab.numerics import extrapolate_limit
 
 EX_PROFILE = "2+1/log(10/s)"
 
@@ -105,8 +107,7 @@ def test_constant_exponent_is_read_only():
 
 def test_profile_rejects_bad_intercepts():
     with pytest.raises(DomainError):
-        ExponentProfile("egg", -1.0, 1.0, lambda s: np.full_like(s, 2.0),
-                        meta={"p": 2.0})
+        ExponentProfile("egg", -1.0, 1.0, lambda s: np.full_like(s, 2.0))
 
 
 def test_tabulated_profile_interpolates():
@@ -317,6 +318,17 @@ def test_p_limits_varying(varying):
     assert varying.p_limits["s0"] == pytest.approx(2.0, abs=1e-6)
     assert varying.p_limits["s1"] == pytest.approx(2.0 + 1.0 / math.log(10.0),
                                                    abs=1e-6)
+
+
+def test_huge_exponent_gives_no_warning():
+    # samples near the largest double must not be doubled, and Aitken's
+    # second differences of them overflow to inf without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        geom = domain_from_exponent(egg_profile(1e308))
+        res = extrapolate_limit([1e308] * 8)
+    assert geom.p_limits == {"s0": 1e308, "s1": 1e308}
+    assert res.limit == 1e308 and res.converged
 
 
 def test_membership_flags(varying):
