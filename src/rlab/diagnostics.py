@@ -100,7 +100,7 @@ def verify_comparison_lemma(geom: DomainGeometry, n_samples: int = 100_000,
     p_l, p_g = float(pvals.min()), float(pvals.max())
     if p_l < 1.0 + 1e-6 or p_g > 1e4:
         raise HypothesisNotMet(
-            f"exponent range [{p_l:.4g}, {p_g:.4g}] violates the "
+            f"exponent range [{p_l:.10g}, {p_g:.10g}] violates the "
             "bounded / away-from-1 hypothesis")
 
     c_low = p_l / (p_g * egg_comparison_constant(p_l))

@@ -39,6 +39,7 @@ __all__ = [
 
 _LEVEL = 7  # ~1600 nodes; moment integrals accurate to ~1e-14
 _CONVERGED = 1e-7  # largest level-7 vs level-6 gap in log I taken as converged
+_FLOOR = 1e-280  # smallest scaled even-node sum taken from the moment product
 
 
 # ---------------------------------------------------------------------------
@@ -55,17 +56,55 @@ def _radial_log_nodes(geom: DomainGeometry, level: int):
 def _log_moment_sums(geom: DomainGeometry, m1, m2, log_weight=None):
     """log int_0^1 r1^{2m1} r2^{2m2} g ds at tanh-sinh levels 7 and 6 (same
     terms), shape (2,) + the degrees' broadcast shape; log g is
-    log_weight(log r1, log r2) at the nodes, or g = 1."""
+    log_weight(log r1, log r2) at the nodes, or g = 1.
+
+    Over the distinct degrees the level-7 sum is the matrix product A B of
+    A[i, k] = r1_k^{2 m1_i} / cA_i and B[k, j] = w_k g_k r2_k^{2 m2_j} / cB_j,
+    with cA and cB the row and column maxima; the even-k nodes alone give
+    the level-6 sum.  All terms are positive, so the product is accurate
+    wherever its scaled sum is well above underflow.  Below _FLOOR the two
+    scales have missed the terms' peak, and those entries are summed again
+    term by term.
+    """
     m1, m2 = np.broadcast_arrays(np.asarray(m1, float), np.asarray(m2, float))
     logw, lr1, lr2, k = _radial_log_nodes(geom, _LEVEL)
-    extra = 0.0 if log_weight is None else log_weight(lr1, lr2)
-    a, b = 2.0 * m1.ravel()[:, None], 2.0 * m2.ravel()[:, None]
-    sums = np.empty((2,) + m1.shape)
+    log_g = logw if log_weight is None else logw + log_weight(lr1, lr2)
+    u1, inv1 = np.unique(m1.ravel(), return_inverse=True)
+    u2, inv2 = np.unique(m2.ravel(), return_inverse=True)
+    # even-k nodes first, so each level's nodes are one contiguous slice
+    odd_k = k % 2
+    order = np.argsort(odd_k, kind="stable")
+    n_even = odd_k.size - np.count_nonzero(odd_k)
+    a = np.multiply.outer(2.0 * u1, lr1[order])
+    b = np.multiply.outer(lr2[order], 2.0 * u2)
+    b += log_g[order, None]
+    ca, cb = a.max(axis=1, keepdims=True), b.max(axis=0, keepdims=True)
+    a -= ca
+    b -= cb
+    np.exp(a, out=a)
+    np.exp(b, out=b)
+    # einsum, not BLAS: the product stays in the calling thread
+    even = np.einsum("ik,kj->ij", a[:, :n_even], b[:n_even])
+    odd = np.einsum("ik,kj->ij", a[:, n_even:], b[n_even:])
+    with np.errstate(divide="ignore"):
+        sums = np.log(np.stack((even + odd, 2.0 * even))) + (ca + cb)
+    i, j = np.nonzero(~(even >= _FLOOR))
+    if i.size:
+        sums[:, i, j] = _direct_log_sums(log_g, lr1, lr2, k,
+                                         2.0 * u1[i], 2.0 * u2[j])
+    return sums[:, inv1, inv2].reshape((2,) + m1.shape)
+
+
+def _direct_log_sums(log_g, lr1, lr2, k, a, b):
+    """The level-7 and level-6 sums of _log_moment_sums term by term, for
+    exponent pairs (a, b) = (2 m1, 2 m2); shape (2, a.size)."""
+    sums = np.empty((2, a.size))
     # chunk over degree pairs so the (chunk, n_nodes) terms stay small
-    chunk = max(1, (1 << 16) // logw.size)
+    chunk = max(1, (1 << 16) // log_g.size)
     for lo in range(0, a.size, chunk):
-        sums.reshape(2, -1)[:, lo:lo + chunk] = nested_log_sums(
-            logw + a[lo:lo + chunk] * lr1 + b[lo:lo + chunk] * lr2 + extra, k)
+        sums[:, lo:lo + chunk] = nested_log_sums(
+            log_g + a[lo:lo + chunk, None] * lr1
+            + b[lo:lo + chunk, None] * lr2, k)
     return sums
 
 

@@ -61,7 +61,12 @@ class CoefficientGrid:
 
     @classmethod
     def from_json(cls, text: str | dict) -> "CoefficientGrid":
-        obj = json.loads(text) if isinstance(text, str) else text
+        obj = text
+        if isinstance(obj, str):
+            try:
+                obj = json.loads(obj)
+            except json.JSONDecodeError as exc:
+                raise DomainError(f"invalid coefficient JSON: {exc}") from exc
         items = obj.get("entries", []) if isinstance(obj, dict) else None
         if not isinstance(items, list) or not all(
                 isinstance(item, dict) for item in items):

@@ -76,6 +76,7 @@ def test_non_numeric_domain_field(capsys, domain):
 
 
 @pytest.mark.parametrize("coeffs", [
+    "{bad",
     "[1,2]",
     '{"side": "hardy", "entries": [{"m1": "x", "m2": 0}]}',
     '{"side": "bergman", "entries": [{"m1": 1, "m2": 1, "re": NaN}]}',
@@ -88,6 +89,9 @@ def test_malformed_coefficients(capsys, coeffs):
                           "--coeffs", coeffs)
     assert code == 1
     assert _one_line_error(err)
+    # unparseable JSON names its source, as a bad --domain does
+    assert err.startswith("error: invalid coefficient JSON: ") == (
+        coeffs == "{bad")
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +234,15 @@ def test_compare_lemma_hypothesis_exit(capsys):
                           "--samples", "1000")
     assert code == 2
     assert "hypothesis" in err
+
+
+def test_compare_lemma_range_shows_the_exponent(capsys):
+    # an exponent just above 1 reads above 1 in the message
+    code, _out, err = run(capsys, "compare-lemma", "--domain",
+                          '{"kind": "egg", "p": 1.0000001}',
+                          "--samples", "100")
+    assert code == 2
+    assert "exponent range [1.0000001, 1.0000001]" in err
 
 
 @pytest.mark.parametrize("argv", [["dual"], ["leray-grid", "--max", "2"]],

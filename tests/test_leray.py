@@ -13,10 +13,10 @@ import pytest
 from rlab.errors import DomainError, IndexOutOfTable
 from rlab.geometry import (domain_from_exponent, dual_complement, egg_profile,
                            expression_profile, tabulated_profile)
-from rlab.leray import (_leray_entries, _radial_log_nodes, axis_limit_probe,
-                        boundedness_report, leray_norm_grid, log_gamma_factor,
-                        moment_table, ray_limit_predictor)
-from rlab.numerics import tanh_sinh_indexed
+from rlab.leray import (_leray_entries, _log_moment_sums, _radial_log_nodes,
+                        axis_limit_probe, boundedness_report, leray_norm_grid,
+                        log_gamma_factor, moment_table, ray_limit_predictor)
+from rlab.numerics import nested_log_sums, tanh_sinh_indexed
 
 EX_PROFILE = "2+1/log(10/s)"
 
@@ -259,6 +259,80 @@ def test_moments_of_profiles_nan_at_an_endpoint():
     assert np.max(np.abs(tab0.log_I - tab1.log_I.T)) < 1e-12
 
 
+# ---------------------------------------------------------------------------
+# the moment kernel against the direct sum
+# ---------------------------------------------------------------------------
+
+def _direct_sums(geom, m1, m2, log_weight=None):
+    """Level-7 and level-6 moment sums term by term, one degree pair per
+    row of terms: the oracle of the scaled moment product."""
+    logw, lr1, lr2, k = _radial_log_nodes(geom, 7)
+    if log_weight is not None:
+        logw = logw + log_weight(lr1, lr2)
+    m1, m2 = np.broadcast_arrays(np.asarray(m1, float), np.asarray(m2, float))
+    out = np.empty((2,) + m1.shape)
+    for i in np.ndindex(m1.shape[:-1]):
+        out[(slice(None),) + i] = nested_log_sums(
+            logw + 2.0 * m1[i][:, None] * lr1 + 2.0 * m2[i][:, None] * lr2, k)
+    return out
+
+
+def _check_table(geom, M, idx):
+    """moment_table at the degrees idx x idx against the direct sum: log I
+    and the level gap, to 1e-12."""
+    tab = moment_table(geom, M, M)
+    fine, coarse = _direct_sums(geom, idx[:, None], idx[None, :])
+    cut = np.ix_(idx, idx)
+    assert np.max(np.abs(tab.log_I[cut] - fine)) < 1e-12
+    assert np.max(np.abs(tab.err[cut] - np.abs(fine - coarse))) < 1e-12
+
+
+KERNEL_PROFILES = {
+    "expression": expression_profile(EX_PROFILE),
+    "table": tabulated_profile(np.linspace(0.0, 1.0, 4), [2.0, 3.0, 2.5, 4.0]),
+    "nan_at_0": expression_profile(NAN_AT_0),
+    "steep": expression_profile("40+10*s")}
+
+
+@pytest.mark.parametrize("M", [64, 200])
+@pytest.mark.parametrize("dual", [False, True], ids=["domain", "dual"])
+@pytest.mark.parametrize("name", list(KERNEL_PROFILES))
+def test_moment_product_matches_direct_sum(name, dual, M):
+    geom = domain_from_exponent(KERNEL_PROFILES[name])
+    if dual:
+        geom = dual_complement(geom)
+    # every degree at M = 64; every 8th and the last 9 at M = 200
+    idx = (np.arange(M + 1) if M == 64
+           else np.unique(np.r_[0:M + 1:8, M - 8:M + 1]))
+    _check_table(geom, M, idx)
+
+
+def test_moment_product_floor_fallback():
+    # near (400, 400) the row and column scales of 1.05+s miss the terms'
+    # peak: without the floor these entries are off by up to 1.05e-6
+    geom = domain_from_exponent(expression_profile("1.05+s"))
+    _check_table(geom, 400, np.unique(np.r_[0:401:8, 383:401]))
+
+
+def _norm_weight(lr1, lr2):
+    return 0.75 * np.logaddexp(2.0 * lr1, 2.0 * lr2)
+
+
+SPARSE_M1 = np.array([0.0, 3.0, 17.0, 250.0, 0.0])
+SPARSE_M2 = np.array([0.0, 9.0, 2.0, 1.0, 300.0])
+
+
+@pytest.mark.parametrize("name", ["expression", "steep"])
+def test_sparse_weighted_moments_match_direct_sum(name):
+    # the call shape of the nu norm: scattered pairs, the ||z||^{3/2}
+    # weight, the dual radii
+    dual = dual_complement(domain_from_exponent(KERNEL_PROFILES[name]))
+    got = _log_moment_sums(dual, SPARSE_M1, SPARSE_M2, _norm_weight)
+    want = _direct_sums(dual, SPARSE_M1, SPARSE_M2, _norm_weight)
+    assert got.shape == (2, 5)
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
 def test_moment_table_rerun_determinism():
     tab1 = moment_table(domain_from_exponent(expression_profile(EX_PROFILE)),
                         16, 16)
@@ -266,3 +340,7 @@ def test_moment_table_rerun_determinism():
                         16, 16)
     assert np.array_equal(tab1.log_I, tab2.log_I)
     assert np.array_equal(tab1.err, tab2.err)
+    sparse = [_log_moment_sums(
+        domain_from_exponent(expression_profile(EX_PROFILE)),
+        SPARSE_M1, SPARSE_M2, _norm_weight) for _ in range(2)]
+    assert np.array_equal(sparse[0], sparse[1])
