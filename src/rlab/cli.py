@@ -114,8 +114,9 @@ def _run_curvature(args, geom):
 
 def _run_leray_grid(args, geom):
     grid = leray.leray_norm_grid(geom, args.max, args.max)
-    rows = [(m1, m2, float(grid.log_norm_sq[m1, m2]), float(grid.err[m1, m2]))
-            for m1 in range(args.max + 1) for m2 in range(args.max + 1)]
+    rows = [(m1, m2, v, e) for m1, (vs, es) in enumerate(
+                zip(grid.log_norm_sq.tolist(), grid.err.tolist()))
+            for m2, (v, e) in enumerate(zip(vs, es))]
     header = ["m1", "m2", "log_norm_sq", "err_est"]
     obj = {"M": args.max, "entries": [dict(zip(header, r)) for r in rows]}
     code = EXIT_OK if bool(grid.converged.all()) else EXIT_NONCONVERGENCE

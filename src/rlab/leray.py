@@ -53,21 +53,22 @@ def _radial_log_nodes(geom: DomainGeometry, level: int):
     return np.log(w), geom.log_r1_xy(x, xm), geom.log_r2_xy(x, xm), k
 
 
-def _log_moment_sums(geom: DomainGeometry, m1, m2, log_weight=None):
-    """log int_0^1 r1^{2m1} r2^{2m2} g ds at tanh-sinh levels 7 and 6 (same
-    terms), shape (2,) + the degrees' broadcast shape; log g is
-    log_weight(log r1, log r2) at the nodes, or g = 1.
+def _log_moment_sums(geom: DomainGeometry, m1, m2, log_weight=None,
+                     level: int = _LEVEL):
+    """log int_0^1 r1^{2m1} r2^{2m2} g ds at tanh-sinh levels `level` and
+    `level - 1` (same terms), shape (2,) + the degrees' broadcast shape;
+    log g is log_weight(log r1, log r2) at the nodes, or g = 1.
 
-    Over the distinct degrees the level-7 sum is the matrix product A B of
+    Over the distinct degrees the fine sum is the matrix product A B of
     A[i, k] = r1_k^{2 m1_i} / cA_i and B[k, j] = w_k g_k r2_k^{2 m2_j} / cB_j,
     with cA and cB the row and column maxima; the even-k nodes alone give
-    the level-6 sum.  All terms are positive, so the product is accurate
+    the coarse sum.  All terms are positive, so the product is accurate
     wherever its scaled sum is well above underflow.  Below _FLOOR the two
     scales have missed the terms' peak, and those entries are summed again
     term by term.
     """
     m1, m2 = np.broadcast_arrays(np.asarray(m1, float), np.asarray(m2, float))
-    logw, lr1, lr2, k = _radial_log_nodes(geom, _LEVEL)
+    logw, lr1, lr2, k = _radial_log_nodes(geom, level)
     log_g = logw if log_weight is None else logw + log_weight(lr1, lr2)
     u1, inv1 = np.unique(m1.ravel(), return_inverse=True)
     u2, inv2 = np.unique(m2.ravel(), return_inverse=True)
@@ -96,7 +97,7 @@ def _log_moment_sums(geom: DomainGeometry, m1, m2, log_weight=None):
 
 
 def _direct_log_sums(log_g, lr1, lr2, k, a, b):
-    """The level-7 and level-6 sums of _log_moment_sums term by term, for
+    """The fine and coarse sums of _log_moment_sums term by term, for
     exponent pairs (a, b) = (2 m1, 2 m2); shape (2, a.size)."""
     sums = np.empty((2, a.size))
     # chunk over degree pairs so the (chunk, n_nodes) terms stay small

@@ -1,7 +1,7 @@
 """Shared numerical kernels.
 
 The nested tanh-sinh rule on (0, 1), log-Gamma/Beta and log I0 (from
-scipy.special) and sequence-limit extrapolation.
+scipy.special; log I0 is public API only) and sequence-limit extrapolation.
 Everything here is pure and reentrant.  Every integral over the boundary
 parameter elsewhere in the library is one sum over the nodes of a tanh-sinh
 level, with moment-type integrands evaluated as exp(sum of m_i * log r_i) so
@@ -122,6 +122,8 @@ def bessel_i0_log(x):
     """log I0(x) for x >= 0, as log(I0(x) e^-x) + x.
 
     Stays finite for arguments far past the overflow point of I0 itself.
+    Public API only: no library code calls it, since the exponential norms
+    are summed from the power series of I0 (transform._log_exp_norms).
     """
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0):

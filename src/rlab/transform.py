@@ -22,9 +22,8 @@ from scipy.special import logsumexp
 
 from .errors import DomainError, IndexOutOfTable
 from .geometry import DomainGeometry, dual_complement
-from .leray import MomentTable, _log_moment_sums, _radial_log_nodes
-from .numerics import (bessel_i0_log, log_gamma, nested_log_sums,
-                       tanh_sinh_indexed)
+from .leray import MomentTable, _log_moment_sums
+from .numerics import log_gamma, nested_log_sums, tanh_sinh_indexed
 
 __all__ = [
     "CoefficientGrid",
@@ -39,6 +38,8 @@ __all__ = [
 
 _SIDES = ("hardy", "bergman", "laplace")
 _LOG4 = math.log(4.0)
+_TAIL_NATS = 60.0  # the dropped exponential-series tail is e^-60 below e^{2r}
+_R_LIMIT = 1000.0  # largest r summed; the work grows like N^2, N ~ r + 8 sqrt(r)
 
 
 @dataclass(frozen=True)
@@ -219,23 +220,87 @@ def bergman_nu_norm_sq(geom: DomainGeometry, beta: CoefficientGrid,
 # exponential-moment weight (omega)
 # ---------------------------------------------------------------------------
 
+def _log_powers(deg: np.ndarray, log_x: np.ndarray) -> np.ndarray:
+    """2 n log x over the degrees n = 0, 1, ... (rows) and the points x
+    (columns), with x^0 = 1 also where x = 0."""
+    with np.errstate(invalid="ignore"):
+        out = np.multiply.outer(2.0 * deg, log_x)
+    out[0] = 0.0
+    return out
+
+
+def _series_degree(r_max: float) -> int:
+    """The last degree N of the exponential series, from its largest r.
+
+    Term n of the series is at most r^{2n} / (n!)^2 (see _log_exp_norms), so
+    the tail past N is at most T_N(r) = r^{2N+2} / ((N+1)!)^2 / (1 - q),
+    q = r^2 / (N+2)^2.  N is the first degree at or above r_max with
+    T_N(r_max) <= e^{2 r_max - _TAIL_NATS}; E(r, t) itself is of order
+    e^{2r} over a power of r.
+    """
+    if not r_max <= _R_LIMIT:
+        raise DomainError(f"exponential norms are summed for r <= "
+                          f"{_R_LIMIT:g} only (omega norms up to total "
+                          f"degree about 790), not r = {r_max:.6g}")
+    n = np.arange(math.ceil(r_max), 3 * math.ceil(r_max) + 60, dtype=float)
+    with np.errstate(divide="ignore"):
+        log_r = np.log(r_max)
+    log_tail = (2.0 * (n + 1.0) * log_r - 2.0 * log_gamma(n + 2.0)
+                - np.log1p(-(r_max / (n + 2.0)) ** 2))
+    return int(n[np.argmax(log_tail <= 2.0 * r_max - _TAIL_NATS)])
+
+
 def _log_exp_norms(geom: DomainGeometry, rs: np.ndarray, lr1t: np.ndarray,
                    lr2t: np.ndarray, level: int) -> np.ndarray:
     """log E(r, t) on the outer product of r values and t points, given
     log r1*(t) and log r2*(t), at s-levels `level` and `level - 1` from the
-    same terms; shape (2, n_r, n_t)."""
-    logw, lr1, lr2, k = _radial_log_nodes(geom, level)
-    radial1 = np.exp(lr1[None, :] + lr1t[:, None])   # (n_t, n_s)
-    radial2 = np.exp(lr2[None, :] + lr2t[:, None])
-    out = np.empty((2, rs.size, lr1t.size))
-    # chunk over r so the (chunk, n_t, n_s) argument arrays stay small
-    chunk = max(1, int(2e6 // radial1.size))
-    for lo in range(0, rs.size, chunk):
-        r = rs[lo:lo + chunk, None, None]
-        out[:, lo:lo + chunk] = nested_log_sums(
-            logw + bessel_i0_log(2.0 * r * radial1)
-            + bessel_i0_log(2.0 * r * radial2), k)
-    return out - _LOG4
+    same terms; shape (2, n_r, n_t).
+
+    The monomials are orthogonal, so with a = r1*(t), b = r2*(t) the power
+    series I0(2x) = sum_j x^{2j} / (j!)^2 (DLMF 10.25.2) gives
+
+        E(r, t) = (1/4) sum_n r^{2n} c_n(t),
+        c_n(t) = sum_{j+k=n} a^{2j} b^{2k} mu_jk / (j! k!)^2,
+
+    where mu_jk are the tanh-sinh moment sums of r1^{2j} r2^{2k} at the
+    level: the same value as the level's sum of the Bessel integrand, term
+    for term.  r1(s) a + r2(s) b <= 1 (the polar dual's Hoelder
+    inequality), so c_n(t) <= mu_00 / (n!)^2; the series stops at
+    _series_degree(max r), and the dropped tail is far below the rounding
+    of E.  Each c_n is one log-sum over its anti-diagonal; E is one scaled
+    product of r^{2n} e^{lam_n} (rows scaled by their maximum) and
+    c_n(t) e^{-lam_n}, with lam_n = max_t log c_n(t).
+
+    The gap between the two levels measures the s-rule only; the dropped
+    tail of the series is not part of it.
+    """
+    n = _series_degree(float(rs.max()))
+    deg = np.arange(n + 1.0)
+    log_f = 2.0 * log_gamma(deg + 1.0)
+    log_mu = _log_moment_sums(geom, deg[:, None], deg[None, :], level=level)
+    log_mu -= log_f[:, None] + log_f
+    # reversed, the anti-diagonal j + k = d is a diagonal, and b^{2(d - j)}
+    # for j = 0..d a slice
+    log_mu = log_mu[:, :, ::-1]
+    pow1, pow2 = _log_powers(deg, lr1t), _log_powers(deg, lr2t)[::-1]
+    log_c = np.empty((n + 1, 2, lr1t.size))
+    for d in range(n + 1):
+        terms = np.diagonal(log_mu, n - d, 1, 2)[..., None] + (
+            pow1[:d + 1] + pow2[n - d:])
+        mx = terms.max(axis=1)
+        terms -= mx[:, None]
+        np.exp(terms, out=terms)
+        log_c[d] = np.log(terms.sum(axis=1)) + mx
+    log_c = log_c.reshape(n + 1, -1)
+    lam = log_c.max(axis=1)
+    with np.errstate(divide="ignore"):
+        rows = _log_powers(deg, np.log(rs)).T + lam
+    rho = rows.max(axis=1, keepdims=True)
+    # einsum, not BLAS: the product stays in the calling thread
+    prod = np.einsum("in,nm->im", np.exp(rows - rho),
+                     np.exp(log_c - lam[:, None]))
+    out = np.log(prod) + rho - _LOG4
+    return out.reshape(rs.size, 2, lr1t.size).swapaxes(0, 1)
 
 
 def exp_norm_sq(geom: DomainGeometry, r: float, t: float) -> float:
@@ -245,7 +310,12 @@ def exp_norm_sq(geom: DomainGeometry, r: float, t: float) -> float:
         E(r, t) = (1/4) int_0^1 I0(2 r r1(s) r1*(t)) I0(2 r r2(s) r2*(t)) ds.
 
     The two angular integrals produce the Bessel factors; rotation
-    invariance makes the phases of z irrelevant.
+    invariance makes the phases of z irrelevant.  The s-integral is the
+    tanh-sinh sum at level 6, taken term for term from the power series
+    E(r, t) = (1/4) sum_n r^{2n} c_n(t) over the level's moment sums (see
+    _log_exp_norms); r may be at most 1000.  No error estimate comes with
+    the value: the s-rule's error is not measured here, and the series is
+    cut where its tail is far below the rounding of E.
     """
     if not 0.0 <= r < math.inf:
         raise DomainError("exp_norm_sq needs a finite r >= 0")
@@ -271,8 +341,9 @@ def bergman_omega_norm_sq(geom: DomainGeometry,
     integrand behaves like r^{2M + 5/2} e^{-2r}; the r-range is truncated
     where the log-integrand falls 40 nats below its peak.  With t at
     tanh-sinh level 3 and s at level 4, err_est sums each term times its
-    gaps to the s-level-3 and t-level-2 sums (same terms); the Gauss r-rule
-    and the truncation are not estimated.
+    gaps to the s-level-3 and t-level-2 sums (same terms).  It does not
+    cover the Gauss r-rule, the r truncation, or the cut of the power
+    series for E (see _log_exp_norms), whose tail is far below rounding.
     """
     if beta.side != "bergman":
         raise DomainError("bergman_omega_norm_sq expects a bergman-side grid")

@@ -1,6 +1,8 @@
 """Command line tests: verbs, output formats, @file loading, determinism,
 and the exit code contract (0 ok, 1 usage, 2 hypothesis, 3 non-convergence)."""
 
+import csv
+import io
 import json
 import math
 
@@ -111,6 +113,19 @@ def test_describe_csv_header(capsys):
     code, out, _err = run(capsys, "describe", "--domain", BALL)
     assert code == 0
     assert out.splitlines()[0] == "field,value"
+
+
+@pytest.mark.parametrize("verb", ["describe", "dual"])
+def test_describe_csv_is_valid_csv(capsys, verb):
+    # the nested dict fields carry commas, so they are quoted (RFC 4180)
+    code, out, _err = run(capsys, verb, "--domain", VARYING)
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert len(rows) == 8
+    assert all(len(row) == 2 for row in rows)
+    info = dict(rows)
+    assert info["classification"].startswith("{'axis0': {")
+    assert info["p_limits"].count(",") == 1
 
 
 def test_dual_conjugates_exponent(capsys):

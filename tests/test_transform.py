@@ -13,11 +13,15 @@ import numpy as np
 import pytest
 
 from rlab.errors import DomainError, IndexOutOfTable
-from rlab.geometry import domain_from_exponent, egg_profile, expression_profile
-from rlab.leray import moment_table
-from rlab.transform import (CoefficientGrid, bergman_nu_norm_sq,
-                            bergman_omega_norm_sq, exp_norm_sq, hardy_norm_sq,
-                            invert_laplace, laplace_map)
+from rlab.geometry import (domain_from_exponent, dual_complement, egg_profile,
+                           expression_profile, tabulated_profile)
+from rlab.leray import _radial_log_nodes, moment_table
+from rlab.numerics import (bessel_i0_log, log_gamma, nested_log_sums,
+                           tanh_sinh_indexed)
+from rlab.transform import (CoefficientGrid, _log_exp_norms, _series_degree,
+                            bergman_nu_norm_sq, bergman_omega_norm_sq,
+                            exp_norm_sq, hardy_norm_sq, invert_laplace,
+                            laplace_map)
 
 
 @pytest.fixture(scope="module")
@@ -205,6 +209,89 @@ def test_exp_norm_monotone_in_r(ball):
     vals = [exp_norm_sq(ball, r, 0.3)
             for r in (1.0, 2.0, 4.0, 8.0)]
     assert all(b > a for a, b in zip(vals, vals[1:]))
+
+
+def test_exp_norm_rejects_r_past_the_series_limit(ball):
+    with pytest.raises(DomainError, match="r <= 1000"):
+        exp_norm_sq(ball, 1000.5, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# the exponential-norm kernel against the Bessel integrand
+# ---------------------------------------------------------------------------
+
+# the omega norm's largest r at the degree pair (60, 60): its peak
+# 60 + 60 + 1.25, then 40 + 6 sqrt(peak + 1)
+R_MAX_60 = 121.25 + 40.0 + 6.0 * math.sqrt(122.25)
+VARYING = "2+1/log(10/s)"
+KERNEL_DOMAINS = {
+    "egg3": lambda: domain_from_exponent(egg_profile(3.0)),
+    "varying": lambda: domain_from_exponent(expression_profile(VARYING)),
+    "table": lambda: domain_from_exponent(tabulated_profile(
+        [0.0, 0.3, 0.7, 1.0], [2.5, 3.5, 2.2, 4.0])),
+    "varying_dual": lambda: dual_complement(
+        domain_from_exponent(expression_profile(VARYING))),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(KERNEL_DOMAINS))
+def kernel_domain(request):
+    return KERNEL_DOMAINS[request.param]()
+
+
+def _t_nodes(geom):
+    # every t node of the omega norm's level-3 rule, the extreme ones
+    # (r1* or r2* below 1e-110) included
+    _k, x, xm, _w = tanh_sinh_indexed(3)
+    return geom.log_r1_star_xy(x, xm), geom.log_r2_star_xy(x, xm)
+
+
+def _bessel_log_exp_norms(geom, rs, lr1t, lr2t, level):
+    """log E(r, t) at s-levels `level` and `level - 1`: the tanh-sinh sums
+    of (1/4) I0(2 r r1(s) r1*(t)) I0(2 r r2(s) r2*(t)), term by term."""
+    logw, lr1, lr2, k = _radial_log_nodes(geom, level)
+    r = rs[:, None, None]
+    terms = (logw + bessel_i0_log(2.0 * r * np.exp(lr1 + lr1t[:, None]))
+             + bessel_i0_log(2.0 * r * np.exp(lr2 + lr2t[:, None])))
+    return np.array(nested_log_sums(terms, k)) - math.log(4.0)
+
+
+def test_exp_norm_kernel_matches_bessel_sum(kernel_domain):
+    lr1t, lr2t = _t_nodes(kernel_domain)
+    rs = np.linspace(0.0, R_MAX_60, 13)
+    got = _log_exp_norms(kernel_domain, rs, lr1t, lr2t, 4)
+    want = _bessel_log_exp_norms(kernel_domain, rs, lr1t, lr2t, 4)
+    assert got.shape == want.shape == (2, rs.size, lr1t.size)
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize("t", [0.0, 1.0])
+def test_exp_norm_at_the_ends_matches_bessel_sum(kernel_domain, t):
+    # exp_norm_sq sums at s-level 6, and r1*(0) = r2*(1) = 0
+    lr1t = np.array([kernel_domain.log_r1_star(t) if t > 0 else -math.inf])
+    lr2t = np.array([kernel_domain.log_r2_star(t) if t < 1 else -math.inf])
+    for r in (0.0, 35.0, R_MAX_60):
+        want = _bessel_log_exp_norms(kernel_domain, np.array([r]),
+                                     lr1t, lr2t, 6)[0, 0, 0]
+        assert exp_norm_sq(kernel_domain, r, t) == pytest.approx(
+            want, rel=0, abs=1e-12)
+
+
+def test_exp_series_tail_is_negligible(kernel_domain):
+    # term n of the series is at most mu_00 r^{2n} / (n!)^2 / 4, with
+    # mu_00 the sum of the s weights; sum those bounds past the last degree
+    # and compare them with E at every r and t node
+    lr1t, lr2t = _t_nodes(kernel_domain)
+    rs = np.linspace(0.0, R_MAX_60, 13)[1:]
+    log_e = _log_exp_norms(kernel_domain, rs, lr1t, lr2t, 4)[0]
+    n = _series_degree(R_MAX_60)
+    m = np.arange(n + 1.0, 3.0 * n + 100.0)
+    log_terms = 2.0 * m * np.log(rs)[:, None] - 2.0 * log_gamma(m + 1.0)
+    mx = log_terms.max(axis=1)
+    log_tail = np.log(np.exp(log_terms - mx[:, None]).sum(axis=1)) + mx
+    log_mu00 = np.log(np.exp(_radial_log_nodes(kernel_domain, 4)[0]).sum())
+    rel = np.exp(log_mu00 + log_tail[:, None] - math.log(4.0) - log_e)
+    assert rel.max() < 1e-16
 
 
 # ---------------------------------------------------------------------------
