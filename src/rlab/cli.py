@@ -173,7 +173,8 @@ def _run_norms(args, geom):
     rows = [(name, rep.value, rep.err_est, rep.convention)
             for name, rep in results.items()]
     obj = {name: {"value": rep.value, "log_value": rep.log_value,
-                  "err_est": rep.err_est, "convention": rep.convention}
+                  "err_est": rep.err_est, "rel_err": rep.rel_err,
+                  "convention": rep.convention}
            for name, rep in results.items()}
     return ["norm", "value", "err_est", "convention"], rows, obj, EXIT_OK
 

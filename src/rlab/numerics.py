@@ -2,6 +2,9 @@
 
 The nested tanh-sinh rule on (0, 1), log-Gamma/Beta and log I0 (from
 scipy.special; log I0 is public API only) and sequence-limit extrapolation.
+scipy.special is imported inside the functions that call it, at their first
+call, so importing the package loads numpy but no scipy: building an egg or
+expression geometry or its dual never loads it.
 Everything here is pure and reentrant.  Every integral over the boundary
 parameter elsewhere in the library is one sum over the nodes of a tanh-sinh
 level, with moment-type integrands evaluated as exp(sum of m_i * log r_i) so
@@ -19,9 +22,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expit as _expit
-from scipy.special import gammaln as _gammaln
-from scipy.special import i0e as _i0e
 
 from .errors import DomainError
 
@@ -54,6 +54,8 @@ def tanh_sinh_indexed(level: int):
     Nodes whose x or 1 - x is 0 in double precision are dropped; the
     double-exponential weight decay makes that truncation negligible.
     """
+    from scipy.special import expit
+
     h = 2.0 ** (-level)
     k = np.arange(-int(_TS_TMAX / h), int(_TS_TMAX / h) + 1)
     t = k * h
@@ -61,8 +63,8 @@ def tanh_sinh_indexed(level: int):
         u = np.pi * np.sinh(t)
         # sigmoid form keeps relative accuracy for nodes near 0, which
         # matters for integrands with an endpoint singularity there
-        x = _expit(u)
-        xm = _expit(-u)
+        x = expit(u)
+        xm = expit(-u)
         w = 0.25 * np.pi * h * np.cosh(t) / np.cosh(0.5 * u) ** 2
     keep = (x > 0.0) & (xm > 0.0) & (w > 1e-320)
     return k[keep], x[keep], xm[keep], w[keep]
@@ -99,10 +101,12 @@ def nested_log_sums(log_terms: np.ndarray, k: np.ndarray):
 
 def log_gamma(x):
     """log Gamma(x) for x > 0."""
+    from scipy.special import gammaln
+
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
         raise DomainError("log_gamma requires x > 0")
-    out = _gammaln(x)
+    out = gammaln(x)
     return float(out) if x.ndim == 0 else out
 
 
@@ -125,10 +129,12 @@ def bessel_i0_log(x):
     Public API only: no library code calls it, since the exponential norms
     are summed from the power series of I0 (transform._log_exp_norms).
     """
+    from scipy.special import i0e
+
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0):
         raise DomainError("bessel_i0_log requires x >= 0")
-    out = np.log(_i0e(x)) + x
+    out = np.log(i0e(x)) + x
     return float(out) if x.ndim == 0 else out
 
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DomainError, IndexOutOfTable
 from .geometry import DomainGeometry, dual_complement
@@ -97,11 +96,15 @@ class CoefficientGrid:
 
 @dataclass(frozen=True)
 class NormReport:
+    """value and err_est may read inf where log_value is finite; rel_err,
+    err_est / value taken from their logs, stays finite there."""
+
     value: float
     log_value: float
     breakdown: Dict[Tuple[int, int], float]
     err_est: float
     convention: str
+    rel_err: float
 
 
 def _log_abs_sq(amp: complex) -> float:
@@ -113,14 +116,18 @@ def _sum_report(log_terms: Dict[Tuple[int, int], float],
                 convention: str) -> NormReport:
     """Reduce per-index log terms to a report.  err_est sums each term
     times its relative error.  Sums stay in log space, so value, err_est
-    and the breakdown may read inf where log_value is still finite."""
+    and the breakdown may read inf where log_value is still finite; rel_err
+    comes from the logs.  A sum with no error term has rel_err 0."""
+    from scipy.special import logsumexp
+
     log_err = float(logsumexp([log_terms[key] + math.log(e)
                                for key, e in rel_errs.items() if e > 0.0]))
     logv = float(logsumexp(list(log_terms.values())))
     with np.errstate(over="ignore"):
+        rel_err = float(np.exp(log_err - logv)) if log_err > -math.inf else 0.0
         return NormReport(float(np.exp(logv)), logv,
                           {k: float(np.exp(v)) for k, v in log_terms.items()},
-                          float(np.exp(log_err)), convention)
+                          float(np.exp(log_err)), convention, rel_err)
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +352,8 @@ def bergman_omega_norm_sq(geom: DomainGeometry,
     cover the Gauss r-rule, the r truncation, or the cut of the power
     series for E (see _log_exp_norms), whose tail is far below rounding.
     """
+    from scipy.special import logsumexp
+
     if beta.side != "bergman":
         raise DomainError("bergman_omega_norm_sq expects a bergman-side grid")
     pairs = beta.support

@@ -232,6 +232,10 @@ def test_norms_of_huge_coefficients(capsys, side, amp):
             unit[name]["log_value"] + 2.0 * math.log(amp), rel=1e-14)
         assert rep["value"] == math.inf
         assert not math.isnan(rep["err_est"])
+        # err_est may overflow with value; the relative error does not
+        assert math.isfinite(rep["rel_err"])
+        assert rep["rel_err"] == pytest.approx(unit[name]["rel_err"],
+                                               rel=1e-12, abs=0.0)
 
 
 def test_compare_lemma_pass(capsys):

@@ -121,6 +121,25 @@ def test_tanh_sinh_levels_nest():
         assert np.array_equal(w / w7[sel], np.full(w.size, float(step)))
 
 
+def test_tanh_sinh_nodes_are_scipy_sigmoids():
+    # the nodes are scipy's expit of pi sinh(t), bit for bit; a numpy
+    # sigmoid 1 / (1 + exp(-u)) moves some of them by an ulp
+    from scipy.special import expit
+
+    for level in range(1, 9):
+        h = 2.0 ** (-level)
+        k = np.arange(-int(6.5 / h), int(6.5 / h) + 1)
+        t = k * h
+        with np.errstate(over="ignore"):
+            u = np.pi * np.sinh(t)
+            x, xm = expit(u), expit(-u)
+            w = 0.25 * np.pi * h * np.cosh(t) / np.cosh(0.5 * u) ** 2
+        keep = (x > 0.0) & (xm > 0.0) & (w > 1e-320)
+        for got, want in zip(tanh_sinh_indexed(level),
+                             (k[keep], x[keep], xm[keep], w[keep])):
+            assert np.array_equal(got, want)
+
+
 def test_tanh_sinh_sym_complement():
     x, xm, w = tanh_sinh_nodes_sym(6)
     mid = np.abs(x - 0.5) < 0.4
@@ -244,14 +263,40 @@ def test_extrapolation_result_type():
 # import cost
 # ---------------------------------------------------------------------------
 
-def test_import_does_not_load_scipy_integrate():
+def _fresh_python(code: str) -> str:
+    """Standard output of `code` run in a fresh interpreter on src/."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, rlab; print('scipy.integrate' in sys.modules)"],
-        capture_output=True, text=True, env=env, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+def test_import_does_not_load_scipy_integrate():
+    assert _fresh_python(
+        "import sys, rlab; print('scipy.integrate' in sys.modules)") == "False"
+
+
+def test_import_does_not_load_scipy():
+    # scipy.special and scipy.interpolate load at the first call that uses them
+    assert _fresh_python(
+        "import sys, rlab; print([m for m in sys.modules"
+        " if m.startswith(('scipy.special', 'scipy.interpolate'))])") == "[]"
+
+
+def test_egg_verbs_do_not_load_scipy_special():
+    code = """
+import os, sys
+from rlab.cli import main
+egg = '{"kind": "egg", "p": 3}'
+for argv in (["describe"], ["dual"], ["curvature", "--samples", "3"],
+             ["compare-lemma", "--samples", "10"]):
+    status = main(argv + ["--domain", egg, "--out", os.devnull])
+    print(argv[0], status, "scipy.special" in sys.modules)
+"""
+    assert _fresh_python(code).splitlines() == [
+        "describe 0 False", "dual 0 False", "curvature 0 False",
+        "compare-lemma 0 False"]

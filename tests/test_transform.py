@@ -339,6 +339,7 @@ def test_omega_error_estimate_is_honest(egg3, key):
     rep = bergman_omega_norm_sq(egg3, _grid("bergman", {key: 1.0}))
     true_rel = abs(math.expm1(rep.log_value - EGG3_OMEGA_REF[key]))
     assert rep.err_est / rep.value >= true_rel
+    assert rep.rel_err == pytest.approx(rep.err_est / rep.value, rel=1e-12)
 
 
 def test_omega_error_estimate_is_measured(egg3):
