@@ -170,13 +170,15 @@ def _run_norms(args, geom):
             "bergman", dict(grid.entries))
         results["nu_norm_sq"] = transform.bergman_nu_norm_sq(geom, beta)
         results["omega_norm_sq"] = transform.bergman_omega_norm_sq(geom, beta)
-    rows = [(name, rep.value, rep.err_est, rep.convention)
-            for name, rep in results.items()]
+    # value and err_est may overflow; log_value and rel_err do not
+    rows = [(name, rep.value, rep.err_est, rep.convention, rep.log_value,
+             rep.rel_err) for name, rep in results.items()]
     obj = {name: {"value": rep.value, "log_value": rep.log_value,
                   "err_est": rep.err_est, "rel_err": rep.rel_err,
                   "convention": rep.convention}
            for name, rep in results.items()}
-    return ["norm", "value", "err_est", "convention"], rows, obj, EXIT_OK
+    return (["norm", "value", "err_est", "convention", "log_value",
+             "rel_err"], rows, obj, EXIT_OK)
 
 
 def _run_compare_lemma(args, geom):

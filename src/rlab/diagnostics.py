@@ -75,7 +75,6 @@ class ComparisonReport:
     p_l: float
     p_g: float
     violations: int
-    slack: float
     passed: bool
     seed: int
 
@@ -134,7 +133,7 @@ def verify_comparison_lemma(geom: DomainGeometry, n_samples: int = 100_000,
                      + np.sum(ratio > c_high + slack))
     passed = violations == 0
     return ComparisonReport(int(s.size), emp_min, emp_max, c_low, c_high,
-                            p_l, p_g, violations, slack, passed, seed)
+                            p_l, p_g, violations, passed, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ __all__ = [
     "ExponentProfile",
     "DomainGeometry",
     "CurvatureTriple",
-    "Flag",
     "egg_profile",
     "expression_profile",
     "tabulated_profile",
@@ -225,15 +224,6 @@ def _integrals_to_zero(f: Callable, x: np.ndarray, knots) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Flag:
-    """A boolean judgement with an attached confidence in [0, 1]."""
-
-    value: bool
-    confidence: float
-    note: str = ""
-
-
-@dataclass(frozen=True)
 class CurvatureTriple:
     kappa1: float
     kappa2: float
@@ -248,8 +238,9 @@ class DomainGeometry:
     Radial profiles are exposed in log space (log_r1, log_r2) together with
     the dual profiles (log_r1_star, log_r2_star) defined by the exact
     pointwise identities r1*(s) r1(s) = s and r2*(s) r2(s) = 1 - s.
-    Nothing is cached on an instance: every call evaluates its points
-    afresh, so evaluators are pure and instances safe to share.
+    An instance holds its profile and two radial functions, nothing else:
+    every call evaluates its points afresh (describe() its limits and
+    flags), so evaluators are pure and instances safe to share.
     """
 
     def __init__(self, profile: ExponentProfile,
@@ -267,8 +258,6 @@ class DomainGeometry:
         else:
             self._lr1_xy = self._quadrature_log_r1
             self._lr2_xy = self._quadrature_log_r2
-        self.p_limits = self._estimate_p_limits()
-        self.membership = self._estimate_membership()
 
     # -- radial evaluators --------------------------------------------------
     # the two-argument forms take the parameter s together with its
@@ -355,7 +344,7 @@ class DomainGeometry:
                 math.inf if vals[-1] > 10.0 * vals[0] else None)
         return {"s0": limits[0], "s1": limits[1]}
 
-    def _estimate_membership(self):
+    def _estimate_membership(self, p_limits):
         # the class requires int_0 dt/(t p(t)) and int^1 dt/((1-t) p(t)) to
         # diverge; after u = log t this is divergence of int 1/p du as the
         # lower limit recedes.  Sampled truncations must keep growing with
@@ -367,34 +356,25 @@ class DomainGeometry:
         growth = np.diff(vals, axis=0)  # per factor-100 shrink of eps
         diverging = bool(np.all(growth > 1e-3))
         conf = 0.9 if diverging and np.all(growth > 0.1 * growth[0]) else 0.6
-        in_r_tilde = Flag(diverging, conf if diverging else 0.9,
-                          "truncated exponent integrals keep growing"
-                          if diverging else "truncated integrals stalled")
-
-        l0, l1 = self.p_limits["s0"], self.p_limits["s1"]
         finite_limits = all(
             isinstance(v, float) and math.isfinite(v) and v > 1.0
-            for v in (l0, l1))
-        in_r_prime = Flag(bool(diverging and finite_limits),
-                          0.85 if finite_limits else 0.7,
-                          "endpoint limits of p estimated finite and > 1"
-                          if finite_limits else "endpoint limit missing")
-        return {"in_R_tilde": in_r_tilde, "in_R_prime": in_r_prime}
+            for v in p_limits.values())
+        return {"in_R_tilde": {"value": diverging,
+                               "confidence": conf if diverging else 0.9},
+                "in_R_prime": {"value": diverging and finite_limits,
+                               "confidence": 0.85 if finite_limits else 0.7}}
 
     # -- misc ---------------------------------------------------------------
 
     def describe(self) -> dict:
-        lim = {k: ("divergent" if v == math.inf else v)
-               for k, v in self.p_limits.items()}
+        p_limits = self._estimate_p_limits()
         return {
             "kind": self.profile.kind,
             "b1": self.profile.b1,
             "b2": self.profile.b2,
-            "p_limits": lim,
-            "in_R_tilde": {"value": self.membership["in_R_tilde"].value,
-                           "confidence": self.membership["in_R_tilde"].confidence},
-            "in_R_prime": {"value": self.membership["in_R_prime"].value,
-                           "confidence": self.membership["in_R_prime"].confidence},
+            "p_limits": {k: ("divergent" if v == math.inf else v)
+                         for k, v in p_limits.items()},
+            **self._estimate_membership(p_limits),
             "classification": classify_boundary(self),
         }
 
@@ -463,9 +443,10 @@ def classify_boundary(geom: DomainGeometry) -> dict:
     reported inconclusive together with the raw limit estimate.
     """
     out = {}
+    p_limits = geom._estimate_p_limits()
     for axis, key in (("axis0", "s1"), ("axis1", "s0")):
         # axis0 is the point where z2 = 0 (s -> 1); axis1 where z1 = 0
-        lim = geom.p_limits[key]
+        lim = p_limits[key]
         if lim is None:
             out[axis] = {"class": "inconclusive", "limit": None}
         elif lim == math.inf:

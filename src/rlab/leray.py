@@ -132,7 +132,6 @@ def _log_moments(geom: DomainGeometry, m1, m2):
 class MomentTable:
     """Grid of log moment integrals over 0..M1 x 0..M2."""
 
-    geom: DomainGeometry
     M1: int
     M2: int
     log_I: np.ndarray          # shape (M1+1, M2+1)
@@ -156,7 +155,7 @@ def moment_table(geom: DomainGeometry, M1: int, M2: int) -> MomentTable:
         raise DomainError("degree bounds must be nonnegative")
     log_i, err = _log_moments(geom, np.arange(M1 + 1)[:, None],
                               np.arange(M2 + 1)[None, :])
-    return MomentTable(geom, M1, M2, log_i, err, err <= _CONVERGED)
+    return MomentTable(M1, M2, log_i, err, err <= _CONVERGED)
 
 
 # ---------------------------------------------------------------------------
@@ -172,11 +171,9 @@ def log_gamma_factor(m1, m2):
 
 @dataclass(frozen=True)
 class LerayNormGrid:
-    geom: DomainGeometry
     M1: int
     M2: int
     log_norm_sq: np.ndarray
-    log_gamma: np.ndarray
     err: np.ndarray
     converged: np.ndarray
 
@@ -194,9 +191,8 @@ def leray_norm_grid(geom: DomainGeometry, M1: int, M2: int,
     tab = moment_table(geom, M1, M2)
     tab_star = moment_table(dual, M1, M2)
     lg = log_gamma_factor(np.arange(M1 + 1)[:, None], np.arange(M2 + 1))
-    log_norm = 2.0 * lg + tab.log_I + tab_star.log_I
-    err = tab.err + tab_star.err
-    return LerayNormGrid(geom, M1, M2, log_norm, lg, err,
+    return LerayNormGrid(M1, M2, 2.0 * lg + tab.log_I + tab_star.log_I,
+                         tab.err + tab_star.err,
                          tab.converged & tab_star.converged)
 
 

@@ -18,7 +18,7 @@ the level L - 1 sum, and the gap between the two is the error estimate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -31,7 +31,6 @@ __all__ = [
     "nested_log_sums",
     "log_gamma",
     "log_beta",
-    "log_factorial",
     "bessel_i0_log",
     "ExtrapolationResult",
     "extrapolate_limit",
@@ -115,13 +114,6 @@ def log_beta(x, y):
     return log_gamma(x) + log_gamma(y) - log_gamma(np.asarray(x, float) + y)
 
 
-def log_factorial(n):
-    n = np.asarray(n, dtype=float)
-    if np.any(n < 0):
-        raise DomainError("factorial of a negative integer")
-    return log_gamma(n + 1.0)
-
-
 def bessel_i0_log(x):
     """log I0(x) for x >= 0, as log(I0(x) e^-x) + x.
 
@@ -147,15 +139,14 @@ class ExtrapolationResult:
     limit: float
     confidence: float
     converged: bool
-    residuals: tuple = field(default_factory=tuple)
 
 
 def extrapolate_limit(seq: Sequence[float]) -> ExtrapolationResult:
     """Estimate lim a_n from a finite tail via iterated Aitken acceleration.
 
-    Confidence comes from the decay of successive differences; sequences
-    whose residuals fail to shrink are reported converged=False with the raw
-    tail value as the limit estimate.
+    Confidence comes from the decay of successive differences; a tail whose
+    differences fail to shrink is reported converged=False with its raw
+    last value as the limit estimate.
     """
     s = np.asarray(seq, dtype=float)
     if s.size < 4:
@@ -199,5 +190,4 @@ def extrapolate_limit(seq: Sequence[float]) -> ExtrapolationResult:
                                0.0, 1.0))
     if not converged:
         confidence = min(confidence, 0.5)
-    return ExtrapolationResult(limit, confidence, converged,
-                               residuals=(raw_resid, best_resid))
+    return ExtrapolationResult(limit, confidence, converged)

@@ -101,7 +101,6 @@ class NormReport:
 
     value: float
     log_value: float
-    breakdown: Dict[Tuple[int, int], float]
     err_est: float
     convention: str
     rel_err: float
@@ -115,9 +114,9 @@ def _sum_report(log_terms: Dict[Tuple[int, int], float],
                 rel_errs: Dict[Tuple[int, int], float],
                 convention: str) -> NormReport:
     """Reduce per-index log terms to a report.  err_est sums each term
-    times its relative error.  Sums stay in log space, so value, err_est
-    and the breakdown may read inf where log_value is still finite; rel_err
-    comes from the logs.  A sum with no error term has rel_err 0."""
+    times its relative error.  Sums stay in log space, so value and err_est
+    may read inf where log_value is still finite; rel_err comes from the
+    logs.  A sum with no error term has rel_err 0."""
     from scipy.special import logsumexp
 
     log_err = float(logsumexp([log_terms[key] + math.log(e)
@@ -125,9 +124,8 @@ def _sum_report(log_terms: Dict[Tuple[int, int], float],
     logv = float(logsumexp(list(log_terms.values())))
     with np.errstate(over="ignore"):
         rel_err = float(np.exp(log_err - logv)) if log_err > -math.inf else 0.0
-        return NormReport(float(np.exp(logv)), logv,
-                          {k: float(np.exp(v)) for k, v in log_terms.items()},
-                          float(np.exp(log_err)), convention, rel_err)
+        return NormReport(float(np.exp(logv)), logv, float(np.exp(log_err)),
+                          convention, rel_err)
 
 
 # ---------------------------------------------------------------------------
@@ -180,15 +178,13 @@ def invert_laplace(geom: DomainGeometry, t: CoefficientGrid,
 
 def bergman_nu_norm_sq(geom: DomainGeometry, beta: CoefficientGrid,
                        convention: str = "exact_parametrized",
-                       h_variant: bool = False,
                        dual: DomainGeometry | None = None) -> NormReport:
     """Squared norm against the explicit weight e^{-2 H(z)} ||z||^{3/2}.
 
     exact_parametrized (default):
         (1/4) sum |beta|^2 Gamma(2M + 7/2) / 2^{2M + 7/2} * J(m1, m2),
     with M = m1 + m2 and J = int r1*^{2m1} r2*^{2m2} (r1*^2 + r2*^2)^{3/4} ds
-    over the dual radii.  h_variant replaces the norm factor ||z||^{3/2}
-    by H(z)^{3/2}, which drops the (r1*^2 + r2*^2)^{3/4} factor from J.
+    over the dual radii.
 
     paper_equivalent: the model series sum |beta|^2 ((M + 1)!)^2 I*(m1, m2),
     comparable to the exact value up to fixed constants.
@@ -204,7 +200,7 @@ def bergman_nu_norm_sq(geom: DomainGeometry, beta: CoefficientGrid,
     pairs = beta.support
     paper = convention == "paper_equivalent"
     # the paper's series uses the plain dual moment I*
-    norm_factor = None if h_variant or paper else (
+    norm_factor = None if paper else (
         lambda lr1, lr2: 0.75 * np.logaddexp(2.0 * lr1, 2.0 * lr2))
     logs7, logs6 = _log_moment_sums(
         dual, *np.array(pairs, dtype=float).reshape(-1, 2).T, norm_factor)
@@ -218,9 +214,7 @@ def bergman_nu_norm_sq(geom: DomainGeometry, beta: CoefficientGrid,
                           - (2.0 * m + 3.5) * math.log(2.0) - _LOG4)
         terms[key] = _log_abs_sq(beta.entries[key]) + log_radial + log_j
         errs[key] = abs(log_j - log_j6)
-    tag = ("paper_equivalent" if paper
-           else "exact_parametrized" + ("/H32" if h_variant else ""))
-    return _sum_report(terms, errs, tag)
+    return _sum_report(terms, errs, convention)
 
 
 # ---------------------------------------------------------------------------

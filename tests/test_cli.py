@@ -213,6 +213,28 @@ def test_norms_omega_error_estimate(capsys):
     assert 0.0 < omega["err_est"] < 1e-6 * omega["value"]
 
 
+def test_norms_csv_keeps_log_value_past_overflow(capsys):
+    # at delta(60, 60) on egg 3 both norms overflow a double; the CSV rows
+    # still carry the finite log values that the JSON reports
+    argv = ["norms", "--domain", '{"kind": "egg", "p": 3}', "--coeffs",
+            json.dumps({"side": "bergman",
+                        "entries": [{"m1": 60, "m2": 60, "re": 1.0}]})]
+    code, out, _err = run(capsys, *argv)
+    assert code == 0
+    header, *rows = list(csv.reader(io.StringIO(out)))
+    assert header == ["norm", "value", "err_est", "convention", "log_value",
+                      "rel_err"]
+    code, out, _err = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    obj = json.loads(out)
+    assert [row[0] for row in rows] == list(obj)
+    for name, value, _e, _c, log_value, rel_err in rows:
+        assert value == "inf"
+        assert math.isfinite(float(log_value))
+        assert float(log_value) == obj[name]["log_value"]
+        assert float(rel_err) == obj[name]["rel_err"]
+
+
 @pytest.mark.parametrize("side, amp", [("hardy", 1e300), ("bergman", 1e200)])
 def test_norms_of_huge_coefficients(capsys, side, amp):
     # |amp|^2 overflows a double; the sums stay in log space, so log_value

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
+from rlab import geometry
 from rlab.errors import (DomainError, ExponentOutOfRange, NonEvaluableProfile)
 from rlab.geometry import (DomainGeometry, ExponentProfile, _integrals_to_zero,
                            classify_boundary, curvatures_at,
@@ -315,9 +316,10 @@ def test_curvature_domain_check(ball):
 
 def test_p_limits_varying(varying):
     # p -> 2 as s -> 0 and p -> 2 + 1/log(10) as s -> 1
-    assert varying.p_limits["s0"] == pytest.approx(2.0, abs=1e-6)
-    assert varying.p_limits["s1"] == pytest.approx(2.0 + 1.0 / math.log(10.0),
-                                                   abs=1e-6)
+    limits = varying.describe()["p_limits"]
+    assert limits["s0"] == pytest.approx(2.0, abs=1e-6)
+    assert limits["s1"] == pytest.approx(2.0 + 1.0 / math.log(10.0),
+                                         abs=1e-6)
 
 
 def test_huge_exponent_gives_no_warning():
@@ -325,16 +327,32 @@ def test_huge_exponent_gives_no_warning():
     # second differences of them overflow to inf without a warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        geom = domain_from_exponent(egg_profile(1e308))
+        info = domain_from_exponent(egg_profile(1e308)).describe()
         res = extrapolate_limit([1e308] * 8)
-    assert geom.p_limits == {"s0": 1e308, "s1": 1e308}
+    assert info["p_limits"] == {"s0": 1e308, "s1": 1e308}
     assert res.limit == 1e308 and res.converged
 
 
 def test_membership_flags(varying):
-    assert varying.membership["in_R_tilde"].value
-    assert varying.membership["in_R_prime"].value
-    assert 0.0 < varying.membership["in_R_tilde"].confidence <= 1.0
+    info = varying.describe()
+    assert info["in_R_tilde"]["value"]
+    assert info["in_R_prime"]["value"]
+    assert 0.0 < info["in_R_tilde"]["confidence"] <= 1.0
+
+
+def test_construction_does_no_describe_work(monkeypatch):
+    # the endpoint limits and class flags are estimated by describe() only,
+    # so building a geometry or its dual makes no radial quadrature pass
+    calls = []
+    inner = geometry._integrals_to_zero
+    monkeypatch.setattr(geometry, "_integrals_to_zero",
+                        lambda *args: calls.append(args) or inner(*args))
+    geom = domain_from_spec({"kind": "expr", "p_check": EX_PROFILE})
+    assert len(calls) == 0
+    dual_complement(geom)
+    assert len(calls) == 0
+    geom.describe()
+    assert len(calls) == 2
 
 
 def test_classification_eggs():

@@ -13,8 +13,8 @@ import pytest
 
 from rlab.errors import DomainError
 from rlab.numerics import (ExtrapolationResult, bessel_i0_log,
-                           extrapolate_limit, log_beta, log_factorial,
-                           log_gamma, nested_log_sums, tanh_sinh_indexed,
+                           extrapolate_limit, log_beta, log_gamma,
+                           nested_log_sums, tanh_sinh_indexed,
                            tanh_sinh_nodes_sym)
 
 
@@ -184,12 +184,6 @@ def test_log_beta_values():
     assert math.exp(log_beta(2.0, 2.0)) == pytest.approx(1.0 / 6.0, rel=1e-13)
     assert math.exp(log_beta(1.0, 1.0)) == pytest.approx(1.0, rel=1e-13)
     assert math.exp(log_beta(3.0, 5.0)) == pytest.approx(1.0 / 105.0, rel=1e-13)
-
-
-def test_log_factorial():
-    assert math.exp(log_factorial(5)) == pytest.approx(120.0, rel=1e-13)
-    with pytest.raises(DomainError):
-        log_factorial(-1)
 
 
 def _i0_by_angular_quadrature(x: float) -> float:

@@ -146,16 +146,6 @@ def test_nu_paper_equivalent_convention(ball):
                            convention="other")
 
 
-def test_nu_h_variant_smaller_on_ball(ball):
-    # on the ball r1*^2 + r2*^2 = 1 pointwise, so the variant with the
-    # norm factor dropped coincides with the exact convention
-    full = bergman_nu_norm_sq(ball, _grid("bergman", {(1, 2): 1.0}))
-    hv = bergman_nu_norm_sq(ball, _grid("bergman", {(1, 2): 1.0}),
-                            h_variant=True)
-    assert hv.value == pytest.approx(full.value, rel=1e-10)
-    assert "H32" in hv.convention
-
-
 def test_nu_side_guard(ball):
     with pytest.raises(DomainError):
         bergman_nu_norm_sq(ball, _grid("hardy", {(0, 0): 1.0}))
