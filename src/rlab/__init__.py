@@ -16,7 +16,8 @@ from .leray import (LerayNormGrid, MomentTable, axis_limit_probe,
 from .numerics import bessel_i0_log, extrapolate_limit, log_beta, log_gamma
 from .transform import (CoefficientGrid, NormReport, bergman_nu_norm_sq,
                         bergman_omega_norm_sq, exp_norm_sq, hardy_norm_sq,
-                        invert_laplace, laplace_map)
+                        invert_laplace, laplace_image_nu_norm_sq,
+                        laplace_map)
 from .diagnostics import (ComparisonReport, CounterexampleReport, F_omega,
                           l1ball_counterexample, verify_comparison_lemma,
                           verify_weight_equivalence)

@@ -161,10 +161,8 @@ def _run_norms(args, geom):
     if grid.side == "hardy":
         table = leray.moment_table(geom, *_max_degrees(grid))
         results["hardy_norm_sq"] = transform.hardy_norm_sq(geom, grid, table)
-        image = transform.laplace_map(geom, grid, table)
-        beta = transform.CoefficientGrid("bergman", dict(image.entries))
-        results["laplace_image_nu_norm_sq"] = transform.bergman_nu_norm_sq(
-            geom, beta)
+        results["laplace_image_nu_norm_sq"] = (
+            transform.laplace_image_nu_norm_sq(geom, grid, table))
     else:
         beta = grid if grid.side == "bergman" else transform.CoefficientGrid(
             "bergman", dict(grid.entries))

@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import DomainError, IndexOutOfTable
 from .geometry import DomainGeometry, dual_complement
-from .numerics import (extrapolate_limit, log_beta, log_gamma,
-                       nested_log_sums, tanh_sinh_indexed)
+from .numerics import (extrapolate_limit, log_beta, log_gamma, log_matmul,
+                       tanh_sinh_indexed)
 
 __all__ = [
     "MomentTable",
@@ -39,7 +39,6 @@ __all__ = [
 
 _LEVEL = 7  # ~1600 nodes; moment integrals accurate to ~1e-14
 _CONVERGED = 1e-7  # largest level-7 vs level-6 gap in log I taken as converged
-_FLOOR = 1e-280  # smallest scaled even-node sum taken from the moment product
 
 
 # ---------------------------------------------------------------------------
@@ -59,54 +58,22 @@ def _log_moment_sums(geom: DomainGeometry, m1, m2, log_weight=None,
     `level - 1` (same terms), shape (2,) + the degrees' broadcast shape;
     log g is log_weight(log r1, log r2) at the nodes, or g = 1.
 
-    Over the distinct degrees the fine sum is the matrix product A B of
-    A[i, k] = r1_k^{2 m1_i} / cA_i and B[k, j] = w_k g_k r2_k^{2 m2_j} / cB_j,
-    with cA and cB the row and column maxima; the even-k nodes alone give
-    the coarse sum.  All terms are positive, so the product is accurate
-    wherever its scaled sum is well above underflow.  Below _FLOOR the two
-    scales have missed the terms' peak, and those entries are summed again
-    term by term.
+    With A[i, k] = 2 m1_i log r1_k, B[k, j] = log(w_k g_k) + 2 m2_j log r2_k
+    over the distinct degrees, log_matmul(A, B) on the even-k nodes (weights
+    doubled) is the coarse level; its logaddexp with the odd-k one the fine.
     """
     m1, m2 = np.broadcast_arrays(np.asarray(m1, float), np.asarray(m2, float))
     logw, lr1, lr2, k = _radial_log_nodes(geom, level)
     log_g = logw if log_weight is None else logw + log_weight(lr1, lr2)
     u1, inv1 = np.unique(m1.ravel(), return_inverse=True)
     u2, inv2 = np.unique(m2.ravel(), return_inverse=True)
-    # even-k nodes first, so each level's nodes are one contiguous slice
-    odd_k = k % 2
-    order = np.argsort(odd_k, kind="stable")
-    n_even = odd_k.size - np.count_nonzero(odd_k)
-    a = np.multiply.outer(2.0 * u1, lr1[order])
-    b = np.multiply.outer(lr2[order], 2.0 * u2)
-    b += log_g[order, None]
-    ca, cb = a.max(axis=1, keepdims=True), b.max(axis=0, keepdims=True)
-    a -= ca
-    b -= cb
-    np.exp(a, out=a)
-    np.exp(b, out=b)
-    # einsum, not BLAS: the product stays in the calling thread
-    even = np.einsum("ik,kj->ij", a[:, :n_even], b[:n_even])
-    odd = np.einsum("ik,kj->ij", a[:, n_even:], b[n_even:])
-    with np.errstate(divide="ignore"):
-        sums = np.log(np.stack((even + odd, 2.0 * even))) + (ca + cb)
-    i, j = np.nonzero(~(even >= _FLOOR))
-    if i.size:
-        sums[:, i, j] = _direct_log_sums(log_g, lr1, lr2, k,
-                                         2.0 * u1[i], 2.0 * u2[j])
+    even_k = k % 2 == 0
+    even, odd = (log_matmul(np.multiply.outer(2.0 * u1, lr1[s]),
+                            np.multiply.outer(lr2[s], 2.0 * u2)
+                            + log_g[s, None])
+                 for s in (even_k, ~even_k))
+    sums = np.stack((np.logaddexp(even, odd), even + math.log(2.0)))
     return sums[:, inv1, inv2].reshape((2,) + m1.shape)
-
-
-def _direct_log_sums(log_g, lr1, lr2, k, a, b):
-    """The fine and coarse sums of _log_moment_sums term by term, for
-    exponent pairs (a, b) = (2 m1, 2 m2); shape (2, a.size)."""
-    sums = np.empty((2, a.size))
-    # chunk over degree pairs so the (chunk, n_nodes) terms stay small
-    chunk = max(1, (1 << 16) // log_g.size)
-    for lo in range(0, a.size, chunk):
-        sums[:, lo:lo + chunk] = nested_log_sums(
-            log_g + a[lo:lo + chunk, None] * lr1
-            + b[lo:lo + chunk, None] * lr2, k)
-    return sums
 
 
 def _log_moments(geom: DomainGeometry, m1, m2):

@@ -1,7 +1,8 @@
 """Shared numerical kernels.
 
-The nested tanh-sinh rule on (0, 1), log-Gamma/Beta and log I0 (from
-scipy.special; log I0 is public API only) and sequence-limit extrapolation.
+The nested tanh-sinh rule on (0, 1), log_matmul (the library's one log-space
+product), log-Gamma/Beta and log I0 (from scipy.special; log I0 is public API
+only) and sequence-limit extrapolation.
 scipy.special is imported inside the functions that call it, at their first
 call, so importing the package loads numpy but no scipy: building an egg or
 expression geometry or its dual never loads it.
@@ -92,6 +93,42 @@ def nested_log_sums(log_terms: np.ndarray, k: np.ndarray):
     fine = np.log(np.sum(e, axis=-1)) + mx
     coarse = np.log(2.0 * np.sum(e[..., k % 2 == 0], axis=-1)) + mx
     return fine, coarse
+
+
+# ---------------------------------------------------------------------------
+# the log-space matrix product
+# ---------------------------------------------------------------------------
+
+_FLOOR = 1e-280  # smallest scaled sum taken from the product
+
+
+def log_matmul(log_a: np.ndarray, log_b: np.ndarray) -> np.ndarray:
+    """log sum_k exp(log_a[i, k] + log_b[k, j]), shape (n_i, n_j): one einsum
+    (in the calling thread, not BLAS) with rows and columns scaled by their
+    maxima.  The terms are positive, so an entry is accurate unless its
+    scaled sum is below _FLOOR (or NaN): there the scales missed the terms'
+    peak, and the entry is summed again term by term."""
+    # a row or column with no terms (all -inf) takes the scale 0
+    ca = np.nan_to_num(log_a.max(axis=1, keepdims=True), neginf=0.0)
+    cb = np.nan_to_num(log_b.max(axis=0, keepdims=True), neginf=0.0)
+    a, b = log_a - ca, log_b - cb
+    prod = np.einsum("ik,kj->ij", np.exp(a, out=a), np.exp(b, out=b))
+    i, j = np.nonzero(~(prod >= _FLOOR))
+    chunk = max(1, (1 << 16) // log_a.shape[1])  # (chunk, n_k) terms at once
+    log_bt = np.ascontiguousarray(log_b.T) if i.size else None
+    with np.errstate(divide="ignore"):
+        out = np.log(prod) + (ca + cb)
+        for lo in range(0, i.size, chunk):
+            ii, jj = i[lo:lo + chunk], j[lo:lo + chunk]
+            terms = log_a[ii] + log_bt[jj]
+            mx = np.nan_to_num(terms.max(axis=1, keepdims=True), neginf=0.0)
+            terms -= mx
+            # exp is slow where it underflows, and a term 700 nats below
+            # the peak adds nothing; -inf (no term) stays
+            np.maximum(terms, -700.0, out=terms, where=terms > -np.inf)
+            np.exp(terms, out=terms)
+            out[ii, jj] = np.log(terms.sum(axis=1)) + mx[:, 0]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ import numpy as np
 from .errors import DomainError, IndexOutOfTable
 from .geometry import DomainGeometry, dual_complement
 from .leray import MomentTable, _log_moment_sums
-from .numerics import log_gamma, nested_log_sums, tanh_sinh_indexed
+from .numerics import (log_gamma, log_matmul, nested_log_sums,
+                       tanh_sinh_indexed)
 
 __all__ = [
     "CoefficientGrid",
@@ -31,6 +32,7 @@ __all__ = [
     "laplace_map",
     "invert_laplace",
     "bergman_nu_norm_sq",
+    "laplace_image_nu_norm_sq",
     "exp_norm_sq",
     "bergman_omega_norm_sq",
 ]
@@ -151,12 +153,15 @@ def laplace_map(geom: DomainGeometry, a: CoefficientGrid,
     t = (1/4) conj(a) I(m1, m2) / (m1! m2!)."""
     if a.side != "hardy":
         raise DomainError("laplace_map expects a hardy-side grid")
-    out = {}
-    for (m1, m2), amp in a.entries.items():
-        log_scale = (table.log_I_at(m1, m2) - _LOG4
-                     - log_gamma(m1 + 1.0) - log_gamma(m2 + 1.0))
-        out[(m1, m2)] = amp.conjugate() * math.exp(log_scale)
-    return CoefficientGrid("laplace", out)
+    return CoefficientGrid("laplace", {
+        key: amp.conjugate() * math.exp(_laplace_log_scale(table, *key))
+        for key, amp in a.entries.items()})
+
+
+def _laplace_log_scale(table: MomentTable, m1: int, m2: int) -> float:
+    """log of t / conj(a) in laplace_map: log(I(m1, m2) / (4 m1! m2!))."""
+    return (table.log_I_at(m1, m2) - _LOG4
+            - log_gamma(m1 + 1.0) - log_gamma(m2 + 1.0))
 
 
 def invert_laplace(geom: DomainGeometry, t: CoefficientGrid,
@@ -164,12 +169,9 @@ def invert_laplace(geom: DomainGeometry, t: CoefficientGrid,
     """Inverse of laplace_map: a = 4 conj(t) m1! m2! / I(m1, m2)."""
     if t.side != "laplace":
         raise DomainError("invert_laplace expects a laplace-side grid")
-    out = {}
-    for (m1, m2), amp in t.entries.items():
-        log_scale = (_LOG4 + log_gamma(m1 + 1.0) + log_gamma(m2 + 1.0)
-                     - table.log_I_at(m1, m2))
-        out[(m1, m2)] = amp.conjugate() * math.exp(log_scale)
-    return CoefficientGrid("hardy", out)
+    return CoefficientGrid("hardy", {
+        key: amp.conjugate() * math.exp(-_laplace_log_scale(table, *key))
+        for key, amp in t.entries.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +198,28 @@ def bergman_nu_norm_sq(geom: DomainGeometry, beta: CoefficientGrid,
         raise DomainError("bergman_nu_norm_sq expects a bergman-side grid")
     if convention not in ("exact_parametrized", "paper_equivalent"):
         raise DomainError(f"unknown convention {convention!r}")
-    dual = dual or dual_complement(geom)
-    pairs = beta.support
+    return _nu_norm_report(dual or dual_complement(geom), {
+        key: _log_abs_sq(amp) for key, amp in beta.entries.items()},
+        convention)
+
+
+def laplace_image_nu_norm_sq(geom: DomainGeometry, a: CoefficientGrid,
+                             table: MomentTable) -> NormReport:
+    """bergman_nu_norm_sq of laplace_map(geom, a, table), summed from
+    log |a|^2 + 2 log(I / (4 m1! m2!)): the image's coefficients underflow
+    a double near degree (100, 100), their logs do not."""
+    if a.side != "hardy":
+        raise DomainError("laplace_image_nu_norm_sq expects a hardy-side grid")
+    return _nu_norm_report(dual_complement(geom), {
+        key: _log_abs_sq(amp) + 2.0 * _laplace_log_scale(table, *key)
+        for key, amp in a.entries.items()}, "exact_parametrized")
+
+
+def _nu_norm_report(dual: DomainGeometry, log_abs_sq: dict,
+                    convention: str) -> NormReport:
+    """The nu norm's term sum (see bergman_nu_norm_sq) from log |beta|^2
+    per degree pair."""
+    pairs = sorted(log_abs_sq)
     paper = convention == "paper_equivalent"
     # the paper's series uses the plain dual moment I*
     norm_factor = None if paper else (
@@ -212,7 +234,7 @@ def bergman_nu_norm_sq(geom: DomainGeometry, beta: CoefficientGrid,
         else:
             log_radial = (log_gamma(2.0 * m + 3.5)
                           - (2.0 * m + 3.5) * math.log(2.0) - _LOG4)
-        terms[key] = _log_abs_sq(beta.entries[key]) + log_radial + log_j
+        terms[key] = log_abs_sq[key] + log_radial + log_j
         errs[key] = abs(log_j - log_j6)
     return _sum_report(terms, errs, convention)
 
@@ -261,16 +283,18 @@ def _log_exp_norms(geom: DomainGeometry, rs: np.ndarray, lr1t: np.ndarray,
     series I0(2x) = sum_j x^{2j} / (j!)^2 (DLMF 10.25.2) gives
 
         E(r, t) = (1/4) sum_n r^{2n} c_n(t),
-        c_n(t) = sum_{j+k=n} a^{2j} b^{2k} mu_jk / (j! k!)^2,
+        c_n(t) = sum_{j+k=n} a^{2j} b^{2k} mu'_jk,  mu'_jk = mu_jk / (j! k!)^2,
 
     where mu_jk are the tanh-sinh moment sums of r1^{2j} r2^{2k} at the
     level: the same value as the level's sum of the Bessel integrand, term
     for term.  r1(s) a + r2(s) b <= 1 (the polar dual's Hoelder
     inequality), so c_n(t) <= mu_00 / (n!)^2; the series stops at
     _series_degree(max r), and the dropped tail is far below the rounding
-    of E.  Each c_n is one log-sum over its anti-diagonal; E is one scaled
-    product of r^{2n} e^{lam_n} (rows scaled by their maximum) and
-    c_n(t) e^{-lam_n}, with lam_n = max_t log c_n(t).
+    of E.  With x the smaller and y the larger of a and b, c_n(t) =
+    y^{2n} sum_j (x/y)^{2j} mu'_{j,n-j} (mu' transposed where x = b), one
+    log_matmul of D[n, j] = mu'_{j,n-j} (-inf for j > n) with (x/y)^{2j}
+    per set of t.  E is one log_matmul of r^{2n} e^{lam_n} and
+    c_n(t) e^{-lam_n}, lam_n = max_t log c_n(t) balancing the two.
 
     The gap between the two levels measures the s-rule only; the dropped
     tail of the series is not part of it.
@@ -280,27 +304,20 @@ def _log_exp_norms(geom: DomainGeometry, rs: np.ndarray, lr1t: np.ndarray,
     log_f = 2.0 * log_gamma(deg + 1.0)
     log_mu = _log_moment_sums(geom, deg[:, None], deg[None, :], level=level)
     log_mu -= log_f[:, None] + log_f
-    # reversed, the anti-diagonal j + k = d is a diagonal, and b^{2(d - j)}
-    # for j = 0..d a slice
-    log_mu = log_mu[:, :, ::-1]
-    pow1, pow2 = _log_powers(deg, lr1t), _log_powers(deg, lr2t)[::-1]
-    log_c = np.empty((n + 1, 2, lr1t.size))
-    for d in range(n + 1):
-        terms = np.diagonal(log_mu, n - d, 1, 2)[..., None] + (
-            pow1[:d + 1] + pow2[n - d:])
-        mx = terms.max(axis=1)
-        terms -= mx[:, None]
-        np.exp(terms, out=terms)
-        log_c[d] = np.log(terms.sum(axis=1)) + mx
-    log_c = log_c.reshape(n + 1, -1)
+    j = np.arange(n + 1)
+    k = j[:, None] - j          # k = n - j in row n, column j
+    x, y = np.minimum(lr1t, lr2t), np.maximum(lr1t, lr2t)
+    pows = _log_powers(deg, x - y)
+    log_c = np.empty((2, n + 1, lr1t.size))
+    first = lr1t <= lr2t
+    for cols, mu in ((first, log_mu), (~first, log_mu.swapaxes(1, 2))):
+        d = np.where(k >= 0, mu[:, j, k], -np.inf).reshape(-1, n + 1)
+        log_c[:, :, cols] = log_matmul(d, pows[:, cols]).reshape(2, n + 1, -1)
+    log_c = (log_c + _log_powers(deg, y)).swapaxes(0, 1).reshape(n + 1, -1)
     lam = log_c.max(axis=1)
     with np.errstate(divide="ignore"):
         rows = _log_powers(deg, np.log(rs)).T + lam
-    rho = rows.max(axis=1, keepdims=True)
-    # einsum, not BLAS: the product stays in the calling thread
-    prod = np.einsum("in,nm->im", np.exp(rows - rho),
-                     np.exp(log_c - lam[:, None]))
-    out = np.log(prod) + rho - _LOG4
+    out = log_matmul(rows, log_c - lam[:, None]) - _LOG4
     return out.reshape(rs.size, 2, lr1t.size).swapaxes(0, 1)
 
 

@@ -191,6 +191,20 @@ def test_laplace_and_norms(capsys, tmp_path):
     assert "laplace_image_nu_norm_sq" in obj
 
 
+def test_laplace_image_nu_norm_keeps_its_log_past_underflow(capsys):
+    # on egg 3 the image's log nu norm at delta(m, m) is -44.28, -62.97 and
+    # -81.59 for m = 40, 60, 80; at m = 100 its coefficient underflows a
+    # double, and the log value continues the trend
+    coeffs = json.dumps({"side": "hardy",
+                         "entries": [{"m1": 100, "m2": 100, "re": 1.0}]})
+    code, out, _err = run(capsys, "norms", "--domain",
+                          '{"kind": "egg", "p": 3}', "--coeffs", coeffs,
+                          "--format", "json")
+    assert code == 0
+    log_value = json.loads(out)["laplace_image_nu_norm_sq"]["log_value"]
+    assert math.isfinite(log_value) and -101.0 < log_value < -99.0
+
+
 def test_norms_bergman_side(capsys):
     coeffs = json.dumps({"side": "bergman",
                          "entries": [{"m1": 0, "m2": 0, "re": 1.0}]})

@@ -1,6 +1,7 @@
-"""Numerical kernel tests: the nested tanh-sinh rule, special functions,
-and limit extrapolation.  Oracle values come from the standard library
-(math.lgamma), closed forms, or independent quadrature."""
+"""Numerical kernel tests: the nested tanh-sinh rule, the log-space matrix
+product, special functions, and limit extrapolation.  Oracle values come
+from the standard library (math.lgamma), closed forms, brute-force sums, or
+independent quadrature."""
 
 import math
 import os
@@ -13,7 +14,7 @@ import pytest
 
 from rlab.errors import DomainError
 from rlab.numerics import (ExtrapolationResult, bessel_i0_log,
-                           extrapolate_limit, log_beta, log_gamma,
+                           extrapolate_limit, log_beta, log_gamma, log_matmul,
                            nested_log_sums, tanh_sinh_indexed,
                            tanh_sinh_nodes_sym)
 
@@ -146,6 +147,80 @@ def test_tanh_sinh_sym_complement():
     assert np.allclose(x[mid] + xm[mid], 1.0, atol=1e-15)
     # complements keep relative precision where 1 - x underflows
     assert xm.min() < 1e-30
+
+
+# ---------------------------------------------------------------------------
+# the log-space matrix product
+# ---------------------------------------------------------------------------
+
+def _brute_log_matmul(log_a, log_b):
+    from scipy.special import logsumexp
+    return logsumexp(log_a[:, :, None] + log_b[None], axis=1)
+
+
+def _random_operands(seed, n_i=9, n_k=40, n_j=6):
+    rng = np.random.default_rng(seed)
+    return (rng.normal(scale=30.0, size=(n_i, n_k)),
+            rng.normal(scale=30.0, size=(n_k, n_j)))
+
+
+def _peaks_far_below_the_scales(n_k=50):
+    # row i and column i fall in opposite directions: every term of entries
+    # (0, 0) and (1, 1) is 30 (n_k - 1) nats below the row maximum plus the
+    # column maximum; the terms of entry (2, 2) peak 40 (n_k - 1) nats
+    # below it and spread over 20 (n_k - 1) nats
+    k = np.arange(n_k)
+    log_a = np.vstack((-30.0 * k, -30.0 * k[::-1], -40.0 * k))
+    log_b = np.column_stack((-30.0 * k[::-1], -30.0 * k, -60.0 * k[::-1]))
+    return log_a, log_b
+
+
+def test_log_matmul_random_operands():
+    for seed in range(3):
+        log_a, log_b = _random_operands(seed)
+        got = log_matmul(log_a, log_b)
+        assert got.shape == (9, 6)
+        assert np.max(np.abs(got - _brute_log_matmul(log_a, log_b))) < 1e-13
+
+
+def test_log_matmul_minus_inf_entries():
+    log_a, log_b = _random_operands(3)
+    log_a[log_a < -20.0] = -np.inf
+    log_b[log_b < -20.0] = -np.inf
+    log_a[2] = -np.inf          # a row with no terms
+    log_b[:, 4] = -np.inf       # a column with no terms
+    got, want = log_matmul(log_a, log_b), _brute_log_matmul(log_a, log_b)
+    assert np.all(got[2] == -np.inf) and np.all(got[:, 4] == -np.inf)
+    assert np.array_equal(np.isfinite(got), np.isfinite(want))
+    fin = np.isfinite(want)
+    assert np.max(np.abs(got[fin] - want[fin])) < 1e-13
+
+
+def test_log_matmul_falls_back_below_the_floor():
+    log_a, log_b = _peaks_far_below_the_scales()
+    peak = (log_a[:, :, None] + log_b[None]).max(axis=1)
+    scales = log_a.max(axis=1)[:, None] + log_b.max(axis=0)
+    # the scaled product underflows on the diagonal, not at (0, 1)
+    far = peak < scales - 700.0
+    assert np.all(np.diag(far)) and not far[0, 1]
+    got, want = log_matmul(log_a, log_b), _brute_log_matmul(log_a, log_b)
+    assert np.max(np.abs(got - want)) < 1e-13
+    assert got[0, 0] == pytest.approx(math.log(50.0) - 30.0 * 49, abs=1e-12)
+    # sum_k e^{20 (k - 49)} = 1 / (1 - e^-20) to rounding
+    peak22 = -40.0 * 49 - math.log1p(-math.exp(-20.0))
+    assert got[2, 2] == pytest.approx(peak22, abs=1e-12)
+
+
+def test_log_matmul_zero_columns():
+    log_a, log_b = _random_operands(4)
+    got = log_matmul(log_a, log_b[:, :0])
+    assert got.shape == (9, 0)
+
+
+def test_log_matmul_rerun_is_bit_identical():
+    for log_a, log_b in (_random_operands(5), _peaks_far_below_the_scales()):
+        assert np.array_equal(log_matmul(log_a, log_b),
+                              log_matmul(log_a, log_b))
 
 
 # ---------------------------------------------------------------------------

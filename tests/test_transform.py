@@ -255,12 +255,14 @@ def test_exp_norm_kernel_matches_bessel_sum(kernel_domain):
     assert np.max(np.abs(got - want)) < 1e-12
 
 
-@pytest.mark.parametrize("t", [0.0, 1.0])
+@pytest.mark.parametrize("t", [0.0, 1.0, 0.3, 0.7])
 def test_exp_norm_at_the_ends_matches_bessel_sum(kernel_domain, t):
-    # exp_norm_sq sums at s-level 6, and r1*(0) = r2*(1) = 0
+    # exp_norm_sq sums at s-level 6, and r1*(0) = r2*(1) = 0; r = 300
+    # (degrees 0..434 of the series) at t = 0.3 and 0.7, on either side of
+    # r1*(t) = r2*(t) on egg 3
     lr1t = np.array([kernel_domain.log_r1_star(t) if t > 0 else -math.inf])
     lr2t = np.array([kernel_domain.log_r2_star(t) if t < 1 else -math.inf])
-    for r in (0.0, 35.0, R_MAX_60):
+    for r in (0.0, 35.0, R_MAX_60) if t in (0.0, 1.0) else (300.0,):
         want = _bessel_log_exp_norms(kernel_domain, np.array([r]),
                                      lr1t, lr2t, 6)[0, 0, 0]
         assert exp_norm_sq(kernel_domain, r, t) == pytest.approx(
