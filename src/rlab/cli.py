@@ -149,10 +149,15 @@ def _run_leray_rays(args, geom):
 def _run_laplace(args, geom):
     grid = _coeffs(args)
     table = leray.moment_table(geom, *_max_degrees(grid))
-    image = transform.laplace_map(geom, grid, table)
-    rows = [(k[0], k[1], v.real, v.imag)
-            for k, v in sorted(image.entries.items())]
-    return ["m1", "m2", "re", "im"], rows, image.to_json(), EXIT_OK
+    obj = transform.laplace_map(geom, grid, table).to_json()
+    # log |t| = log |a| + log(I / (4 m1! m2!)) stays finite where t underflows
+    for e in obj["entries"]:
+        key = (e["m1"], e["m2"])
+        e["log_abs"] = (0.5 * transform._log_abs_sq(grid.entries[key])
+                        + transform._laplace_log_scale(table, *key))
+    header = ["m1", "m2", "re", "im", "log_abs"]
+    return (header, [tuple(e[h] for h in header) for e in obj["entries"]],
+            obj, EXIT_OK)
 
 
 def _run_norms(args, geom):

@@ -12,6 +12,7 @@ r2*(s) r2(s) = 1 - s pointwise.  All radial evaluation happens in log space
 so that high powers r1^{2 m} stay representable.  For a non-constant
 exponent, one call evaluates all its points in a single cumulative pass of
 Gauss panels over u = log s (or u = log(1 - s)); nothing is cached.
+Tables use a numpy PCHIP, so no verb on a table imports scipy's interpolate.
 """
 
 from __future__ import annotations
@@ -118,31 +119,60 @@ def tabulated_profile(s_samples, p_samples, b1: float = 1.0,
                       b2: float = 1.0) -> ExponentProfile:
     """Profile interpolated monotonically through (s, p) samples.
 
-    Shape-preserving piecewise cubic interpolation keeps values between the
-    sample extremes, so p > 1 at the samples implies p > 1 everywhere.
-    Outside the sampled range the boundary values are held constant.
+    Shape-preserving piecewise cubic Hermite interpolation (Fritsch–Carlson
+    slopes, Moler's end rule from pchiptx, "Numerical Computing with MATLAB")
+    keeps values between the sample extremes, so p > 1 at the samples implies
+    p > 1 everywhere.  Outside the sampled range the boundary values are held
+    constant.  Every operation follows scipy's PchipInterpolator, so the
+    values match it bit for bit, without scipy.
     """
-    from scipy.interpolate import PchipInterpolator
-
     try:
-        s_arr = np.asarray(s_samples, dtype=float)
-        p_arr = np.asarray(p_samples, dtype=float)
+        s_arr = np.array(s_samples, dtype=float)  # copies: p_fn keeps them
+        p_arr = np.array(p_samples, dtype=float)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"tabulated samples must be numbers: {exc}") from exc
     if s_arr.ndim != 1 or s_arr.shape != p_arr.shape or s_arr.size < 2:
         raise DomainError("tabulated profile needs matching 1-D s and p arrays")
-    if np.any(np.diff(s_arr) <= 0):
+    if not (np.isfinite(s_arr).all() and np.isfinite(p_arr).all()):
+        raise DomainError("tabulated samples must be finite")
+    h = np.diff(s_arr)
+    if np.any(h <= 0):
         raise DomainError("tabulated s samples must be strictly increasing")
-    interp = PchipInterpolator(s_arr, p_arr, extrapolate=False)
+    with np.errstate(all="ignore"):  # overflow fails below or in validation
+        m = np.diff(p_arr) / h
+        if m.size == 1:  # two samples: the line through them
+            d = np.array([m[0], m[0]])
+        else:
+            # weighted harmonic mean of adjacent secants; 0 at extrema, flats
+            w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+            sm = np.sign(m)
+            flat = (sm[1:] != sm[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+            inner = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
+            # Moler's one-sided three-point slope at the two ends
+            h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+            e = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+            e = np.where(np.sign(e) != np.sign(m0), 0.0, np.where(
+                (np.sign(m0) != np.sign(m1)) & (abs(e) > 3 * abs(m0)),
+                3 * m0, e))
+            d = np.concatenate((e[:1], np.where(flat, 0.0, inner), e[1:]))
+        # the cubic on each interval in ascending powers of s - s_k
+        t = (d[:-1] + d[1:] - 2 * m) / h
+        c0, c1, c2, c3 = t / h, (m - d[:-1]) / h - t, d[:-1], p_arr[:-1]
+    if not np.isfinite(d).all():
+        raise DomainError("tabulated profile too steep: its slopes overflow")
     lo_s, hi_s = float(s_arr[0]), float(s_arr[-1])
-    lo_p, hi_p = float(p_arr[0]), float(p_arr[-1])
 
     def p_fn(s):
         s = np.asarray(s, dtype=float)
-        out = interp(np.clip(s, lo_s, hi_s))
-        out = np.where(s <= lo_s, lo_p, out)
-        out = np.where(s >= hi_s, hi_p, out)
-        return out
+        x = np.clip(s, lo_s, hi_s)
+        k = np.searchsorted(s_arr[1:-1], x, side="right")
+        dx = x - s_arr[k]
+        out = c2[k] * dx + c3[k]
+        dx2 = dx * dx
+        out += c1[k] * dx2
+        dx2 *= dx
+        out += c0[k] * dx2
+        return np.where(s >= hi_s, p_arr[-1], np.where(s <= lo_s, p_arr[0], out))
 
     return ExponentProfile("tabulated", b1, b2, p_fn,
                            knots=tuple(s_arr.tolist()))

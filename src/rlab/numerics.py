@@ -4,8 +4,8 @@ The nested tanh-sinh rule on (0, 1), log_matmul (the library's one log-space
 product), log-Gamma/Beta and log I0 (from scipy.special; log I0 is public API
 only) and sequence-limit extrapolation.
 scipy.special is imported inside the functions that call it, at their first
-call, so importing the package loads numpy but no scipy: building an egg or
-expression geometry or its dual never loads it.
+call, so importing the package loads numpy but no scipy; neither does building
+any geometry or its dual, and no verb on a table loads scipy's interpolate.
 Everything here is pure and reentrant.  Every integral over the boundary
 parameter elsewhere in the library is one sum over the nodes of a tanh-sinh
 level, with moment-type integrands evaluated as exp(sum of m_i * log r_i) so

@@ -77,6 +77,21 @@ def test_non_numeric_domain_field(capsys, domain):
     assert _one_line_error(err)
 
 
+@pytest.mark.parametrize("s, p", [
+    ("[0, NaN, 1]", "[2, 2, 2]"),
+    ("[0, 0.5, Infinity]", "[2, 2, 2]"),
+    ("[-Infinity, 0.5, 1]", "[2, 2, 2]"),
+    ("[0, 0.5, 1]", "[2, NaN, 2]"),
+    ("[0, 0.5, 1]", "[2, -Infinity, 2]"),
+    ("[0, 0.5, 1]", "[2, 3, Infinity]"),
+])
+def test_non_finite_table_samples(capsys, s, p):
+    code, out, err = run(capsys, "describe", "--domain",
+                         f'{{"kind": "table", "s": {s}, "p": {p}}}')
+    assert (code, out) == (1, "")
+    assert err == "error: tabulated samples must be finite\n"
+
+
 @pytest.mark.parametrize("coeffs", [
     "{bad",
     "[1,2]",
@@ -181,6 +196,7 @@ def test_laplace_and_norms(capsys, tmp_path):
     obj = json.loads(out)
     assert obj["side"] == "laplace"
     assert obj["entries"][0]["re"] == pytest.approx(2.0 / 24.0)
+    assert obj["entries"][0]["log_abs"] == pytest.approx(math.log(2.0 / 24.0))
 
     code, out, _err = run(capsys, "norms", "--domain", BALL,
                           "--coeffs", coeffs, "--format", "json")
@@ -189,6 +205,25 @@ def test_laplace_and_norms(capsys, tmp_path):
     assert obj["hardy_norm_sq"]["value"] == pytest.approx(4.0 / 24.0,
                                                           rel=1e-10)
     assert "laplace_image_nu_norm_sq" in obj
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_laplace_log_abs_past_underflow(capsys, fmt):
+    # on egg 3 the image of a unit delta(m, m) is I / (4 m!^2): e^-624.78 at
+    # m = 80, and e^-823.51 at m = 100, which underflows a double to 0
+    entries = [{"m1": m, "m2": m, "re": 1.0} for m in (80, 100)]
+    code, out, _err = run(capsys, "laplace", "--domain",
+                          '{"kind": "egg", "p": 3}', "--coeffs",
+                          json.dumps({"side": "hardy", "entries": entries}),
+                          "--format", fmt)
+    assert code == 0
+    rows = (list(csv.DictReader(io.StringIO(out))) if fmt == "csv"
+            else json.loads(out)["entries"])
+    at80, at100 = ({k: float(v) for k, v in r.items()} for r in rows)
+    assert at80["log_abs"] == pytest.approx(-624.784, abs=1e-3)
+    assert at80["re"] == pytest.approx(math.exp(at80["log_abs"]), rel=1e-12)
+    assert at100["re"] == 0.0
+    assert at100["log_abs"] == pytest.approx(-823.511, abs=1e-3)
 
 
 def test_laplace_image_nu_norm_keeps_its_log_past_underflow(capsys):

@@ -349,11 +349,32 @@ def test_import_does_not_load_scipy_integrate():
         "import sys, rlab; print('scipy.integrate' in sys.modules)") == "False"
 
 
+_TABLE = '{"kind": "table", "s": [0, 0.3, 0.5, 0.8, 1], "p": [2, 3, 3, 2.5, 4]}'
+_SCIPY_MODULES = ("[m for m in sys.modules"
+                  " if m == 'scipy' or m.startswith('scipy.')]")
+
+
 def test_import_does_not_load_scipy():
-    # scipy.special and scipy.interpolate load at the first call that uses them
+    # scipy.special loads at the first call that uses it; building a table
+    # geometry and its dual loads no scipy at all
     assert _fresh_python(
         "import sys, rlab; print([m for m in sys.modules"
-        " if m.startswith(('scipy.special', 'scipy.interpolate'))])") == "[]"
+        " if m.startswith(('scipy.special', 'scipy.interpolate'))]);"
+        f" rlab.dual_complement(rlab.domain_from_spec({_TABLE!r}));"
+        f" print({_SCIPY_MODULES})").splitlines() == ["[]", "[]"]
+
+
+def test_table_verbs_do_not_load_scipy():
+    code = f"""
+import os, sys
+from rlab.cli import main
+for argv in (["describe"], ["dual"], ["curvature", "--samples", "3"],
+             ["compare-lemma", "--samples", "10"]):
+    status = main(argv + ["--domain", {_TABLE!r}, "--out", os.devnull])
+    print(argv[0], status, {_SCIPY_MODULES})
+"""
+    assert _fresh_python(code).splitlines() == [
+        "describe 0 []", "dual 0 []", "curvature 0 []", "compare-lemma 0 []"]
 
 
 def test_egg_verbs_do_not_load_scipy_special():
