@@ -104,10 +104,9 @@ def _run_describe(args, geom):
 
 def _run_curvature(args, geom):
     ss = np.linspace(0.0, 1.0, args.samples + 2)[1:-1]
-    rows = []
-    for s in ss:
-        c = geometry.curvatures_at(geom, float(s))
-        rows.append((float(s), c.kappa1, c.kappa2, c.kappa3, c.p_recovered))
+    c = geometry.curvatures_at(geom, ss)
+    rows = list(zip(*(a.tolist() for a in (ss, c.kappa1, c.kappa2, c.kappa3,
+                                            c.p_recovered))))
     header = ["s", "kappa1", "kappa2", "kappa3", "p_recovered"]
     return header, rows, [dict(zip(header, r)) for r in rows], EXIT_OK
 

@@ -10,8 +10,9 @@ Grammar (infix, usual precedence, ^ is right associative):
     FUNC    := 'log' | 'exp' | 'sqrt'
 
 The single free variable is the boundary parameter s.  Compiled expressions
-evaluate vectorized over numpy arrays.  Syntax errors raise ParseError with
-a caret marking the offending position.
+evaluate vectorized over numpy arrays; number literals stay float64
+scalars.  Syntax errors raise ParseError with a caret marking the offending
+position.
 """
 
 from __future__ import annotations
@@ -72,7 +73,9 @@ class Expr:
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return np.asarray(self._fn(s), dtype=float)
+            out = np.asarray(self._fn(s), dtype=float)
+        # a constant expression gives a scalar: spread it over s
+        return out if out.shape == s.shape else np.full_like(s, out)
 
     def __repr__(self):
         return f"Expr({self.source!r})"
@@ -142,11 +145,11 @@ class _Parser:
     def atom(self) -> Callable:
         tok = self.advance()
         if tok.kind == "num":
-            val = float(tok.text)
-            return lambda s, v=val: np.full_like(np.asarray(s, float), v)
+            val = np.float64(tok.text)  # numpy's inf, not ZeroDivisionError
+            return lambda s, v=val: v
         if tok.kind == "name":
             if tok.text == "s":
-                return lambda s: np.asarray(s, dtype=float)
+                return lambda s: s
             if tok.text in _FUNCS:
                 opener = self.peek()
                 if not (opener.kind == "op" and opener.text == "("):

@@ -11,7 +11,7 @@ reciprocal intercepts; its radial profiles satisfy r1*(s) r1(s) = s and
 r2*(s) r2(s) = 1 - s pointwise.  All radial evaluation happens in log space
 so that high powers r1^{2 m} stay representable.  For a non-constant
 exponent, one call evaluates all its points in a single cumulative pass of
-Gauss panels over u = log s (or u = log(1 - s)); nothing is cached.
+16-point Gauss panels over u = log s (or u = log(1 - s)); nothing is cached.
 Tables use a numpy PCHIP, so no verb on a table imports scipy's interpolate.
 """
 
@@ -160,19 +160,21 @@ def tabulated_profile(s_samples, p_samples, b1: float = 1.0,
         c0, c1, c2, c3 = t / h, (m - d[:-1]) / h - t, d[:-1], p_arr[:-1]
     if not np.isfinite(d).all():
         raise DomainError("tabulated profile too steep: its slopes overflow")
-    lo_s, hi_s = float(s_arr[0]), float(s_arr[-1])
+    # one more piece, constant at the last sample, takes s >= the last knot,
+    # so clipping s into the knots' range is all the end handling (±inf too)
+    c0, c1, c2 = (np.append(c, 0.0) for c in (c0, c1, c2))
+    c3, tops, lo_s, hi_s = p_arr, s_arr[1:], s_arr[0], s_arr[-1]
 
     def p_fn(s):
-        s = np.asarray(s, dtype=float)
-        x = np.clip(s, lo_s, hi_s)
-        k = np.searchsorted(s_arr[1:-1], x, side="right")
+        x = np.asarray(s, dtype=float).clip(lo_s, hi_s)
+        k = tops.searchsorted(x, side="right")
         dx = x - s_arr[k]
         out = c2[k] * dx + c3[k]
         dx2 = dx * dx
         out += c1[k] * dx2
         dx2 *= dx
         out += c0[k] * dx2
-        return np.where(s >= hi_s, p_arr[-1], np.where(s <= lo_s, p_arr[0], out))
+        return out
 
     return ExponentProfile("tabulated", b1, b2, p_fn,
                            knots=tuple(s_arr.tolist()))
@@ -182,21 +184,24 @@ def tabulated_profile(s_samples, p_samples, b1: float = 1.0,
 # exponent integrals (u = log t substitution)
 # ---------------------------------------------------------------------------
 
-_GX, _GW = np.polynomial.legendre.leggauss(32)  # one Gauss panel
-_PIECE_CHUNK = 1024  # Gauss pieces per batch of profile evaluations
+_GX, _GW = np.polynomial.legendre.leggauss(16)  # one Gauss panel
+# Gauss pieces per batch of profile evaluations: 8,192 values, whose
+# temporaries are cheaper to allocate than those of larger batches
+_PIECE_CHUNK = 512
+_DYADIC = 2.0 ** -np.arange(1, 48)
 # the open interval (0, 1) in doubles: exp(u) and -expm1(u) round onto its
 # ends near u = 0 and u = -inf, where p need not be finite
 _OPEN = (np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
 
 
 def _panel_edges(a: float, b: float) -> np.ndarray:
-    """Panel edges on [a, b], dyadically graded toward both endpoints.
+    """Panel edges on [a, b], dyadically graded toward b only.
 
     The grading absorbs integrands that are bounded but only log-smooth at
-    an endpoint (profiles like 2 + 1/log(10/s) produce exactly that after
-    the log substitution)."""
-    graded = (b - a) * 2.0 ** -np.arange(1, 48)
-    return np.concatenate(([a], a + graded[::-1], b - graded, [b]))
+    u = b = 0 (2 + 1/log(10/s) in r2, where s = 1 - e^u).  The lower end a
+    is an ordinary point; on a dyadic panel the nearest end singularity is a
+    panel length away, so 16 Gauss nodes err by about (3 + sqrt 8)^-32."""
+    return np.concatenate(([a], b - (b - a) * _DYADIC, [b]))
 
 
 def _suffix_sums(pieces: np.ndarray) -> np.ndarray:
@@ -219,7 +224,7 @@ def _integrals_to_zero(f: Callable, x: np.ndarray, knots) -> np.ndarray:
 
     The sorted log-queries and log-knots (the x where f is not smooth)
     split the graded panels of [min log x, 0] into pieces; each piece gets one
-    32-point Gauss panel and suffix sums give every integral at once.
+    16-point Gauss panel and suffix sums give every integral at once.
     x <= 0 gives inf.  Empty pieces (from x >= 1 or repeated edges) count
     0 whatever f is there.  Peak memory is about four arrays the size of x.
     """
@@ -233,7 +238,7 @@ def _integrals_to_zero(f: Callable, x: np.ndarray, knots) -> np.ndarray:
     # repeated edges only add empty pieces, so they are not removed
     edges = np.concatenate((u, _panel_edges(a, 0.0), knots))
     edges.sort()
-    idx = np.searchsorted(edges, u).astype(np.int32)  # half the memory
+    idx = edges.searchsorted(u).astype(np.int32)  # half the memory
     del u
     pieces = np.empty(edges.size - 1)
     for lo in range(0, pieces.size, _PIECE_CHUNK):
@@ -255,11 +260,11 @@ def _integrals_to_zero(f: Callable, x: np.ndarray, knots) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CurvatureTriple:
-    kappa1: float
-    kappa2: float
-    kappa3: float
-    kappa_ratio: float
-    p_recovered: float
+    kappa1: float | np.ndarray
+    kappa2: float | np.ndarray
+    kappa3: float | np.ndarray
+    kappa_ratio: float | np.ndarray
+    p_recovered: float | np.ndarray
 
 
 class DomainGeometry:
@@ -297,13 +302,13 @@ class DomainGeometry:
     def _quadrature_log_r1(self, s: np.ndarray, sm: np.ndarray) -> np.ndarray:
         p = self.profile
         return math.log(p.b1) - _integrals_to_zero(
-            lambda u: 1.0 / p(np.clip(np.exp(u), *_OPEN)), s,
+            lambda u: 1.0 / p(np.exp(u).clip(*_OPEN)), s,
             np.array(p.knots))
 
     def _quadrature_log_r2(self, s: np.ndarray, sm: np.ndarray) -> np.ndarray:
         p = self.profile
         return math.log(p.b2) - _integrals_to_zero(
-            lambda u: 1.0 / p(np.clip(-np.expm1(u), *_OPEN)), sm,
+            lambda u: 1.0 / p((-np.expm1(u)).clip(*_OPEN)), sm,
             1.0 - np.array(p.knots))
 
     def log_r1_xy(self, s, sm):
@@ -439,8 +444,9 @@ def dual_complement(geom: DomainGeometry) -> DomainGeometry:
                           _log_r2_xy=geom.log_r2_star_xy)
 
 
-def curvatures_at(geom: DomainGeometry, s: float) -> CurvatureTriple:
-    """Principal curvatures of the boundary at parameter s.
+def curvatures_at(geom: DomainGeometry, s) -> CurvatureTriple:
+    """Principal curvatures of the boundary at parameter s: floats for a
+    scalar s, arrays for an array s (one call of each radial profile).
 
     With Q = (s/r1)^2 + ((1-s)/r2)^2 the three curvatures are
 
@@ -450,18 +456,18 @@ def curvatures_at(geom: DomainGeometry, s: float) -> CurvatureTriple:
 
     and the exponent is recovered as p = 1 + (k3/(k1 k2)) * sqrt(Q).
     """
-    if not (0.0 < s < 1.0):
+    s = np.asarray(s, dtype=float)[()]  # a numpy float if s is a scalar
+    if not ((s > 0.0) & (s < 1.0)).all():
         raise DomainError("curvatures are defined for s in (0, 1)")
-    r1 = float(geom.r1(s))
-    r2 = float(geom.r2(s))
-    q = (s / r1) ** 2 + ((1.0 - s) / r2) ** 2
-    sq = math.sqrt(q)
+    r1, r2, sm = geom.r1(s), geom.r2(s), 1.0 - s
+    q = (s / r1) ** 2 + (sm / r2) ** 2
+    sq = np.sqrt(q)
     k1 = s / (r1 * r1 * sq)
-    k2 = (1.0 - s) / (r2 * r2 * sq)
-    p = float(geom.p_at(s))
-    k3 = (p - 1.0) * s * (1.0 - s) / (r1 * r1 * r2 * r2) * q ** (-1.5)
+    k2 = sm / (r2 * r2 * sq)
+    k3 = (geom.p_at(s) - 1.0) * s * sm / (r1 * r1 * r2 * r2) * q ** -1.5
     ratio = k3 / (k1 * k2)
-    return CurvatureTriple(k1, k2, k3, ratio, 1.0 + ratio * sq)
+    out = (k1, k2, k3, ratio, 1.0 + ratio * sq)
+    return CurvatureTriple(*(map(float, out) if s.ndim == 0 else out))
 
 
 def classify_boundary(geom: DomainGeometry) -> dict:

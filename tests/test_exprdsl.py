@@ -60,6 +60,15 @@ def test_constant_broadcasts():
     assert np.all(out == 4.0)
 
 
+def test_constant_subexpressions_follow_numpy():
+    # literals are float64 scalars, so a constant that divides by zero or
+    # overflows is inf (not a Python exception), spread over the input
+    s = np.linspace(0.1, 0.9, 5)
+    assert np.all(parse_expr("s + 1/0")(s) == np.inf)
+    assert np.all(parse_expr("2^3000")(s) == np.inf)
+    assert parse_expr("2^3000")(s).shape == s.shape
+
+
 def test_scientific_notation():
     assert parse_expr("1.5e2")(0.0) == pytest.approx(150.0)
     assert parse_expr("2.5E-1")(0.0) == pytest.approx(0.25)

@@ -19,6 +19,7 @@ from scipy import integrate
 
 from rlab import geometry
 from rlab.errors import (DomainError, ExponentOutOfRange, NonEvaluableProfile)
+from rlab.exprdsl import parse_expr
 from rlab.geometry import (DomainGeometry, ExponentProfile, _integrals_to_zero,
                            classify_boundary, curvatures_at,
                            domain_from_exponent, domain_from_spec,
@@ -193,11 +194,12 @@ def test_tabulated_profile_matches_scipy_pchip_bit_for_bit():
         cols = np.stack([_random_values(rng, s.size) for _ in range(3)], 1)
         interp = PchipInterpolator(s, cols, extrapolate=False)
         profs = [tabulated_profile(s, p) for p in cols.T]
-        # random points in and outside the range, the knots and nan; for
-        # every third knot set also a scalar in turn: a random point, a knot
-        # or nan, as a 0-d array or a float
-        x = np.concatenate((rng.uniform(-0.1, 1.1, 24), s, [np.nan]))
-        scalar = (x[0], s[i % s.size], np.nan)[i // 3 % 3]
+        # random points in and outside the range, the knots, nan and ±inf;
+        # for every third knot set also a scalar in turn: a random point, a
+        # knot, nan or ±inf, as a 0-d array or a float
+        x = np.concatenate((rng.uniform(-0.1, 1.1, 24), s,
+                            [np.nan, np.inf, -np.inf]))
+        scalar = (x[0], s[i % s.size], np.nan, np.inf, -np.inf)[i // 3 % 5]
         scalar = np.asarray(scalar) if i % 2 else float(scalar)
         for q in (x, scalar) if i % 3 == 0 else (x,):
             ref = interp(np.clip(q, s[0], s[-1]))
@@ -254,6 +256,51 @@ def test_tabulated_radii_match_knot_split_reference():
                           math.log1p(-s), np.log1p(-inner))
         assert abs(geom.log_r1(s) - want1) < 1e-12
         assert abs(geom.log_r2(s) - want2) < 1e-12
+
+
+@pytest.mark.parametrize("scalar", [True, False], ids=["scalar", "array"])
+def test_log_r1_matches_closed_form_for_log_smooth_profile(varying, scalar):
+    # 1/p = w/(2w+1) in w = log(10/s), so log r1 = -int_{log 10}^{log 10 -
+    # log s} w/(2w+1) dw = log(s)/2 + log1p(-2 log(s)/(2 log 10 + 1))/4
+    s = np.concatenate((np.logspace(-300, -1, 300),
+                        np.linspace(0.1, 0.999, 90)))
+    want = 0.5 * np.log(s) + 0.25 * np.log1p(
+        -2.0 * np.log(s) / (2.0 * math.log(10.0) + 1.0))
+    got = (np.array([varying.log_r1(v) for v in s]) if scalar
+           else varying.log_r1(s))
+    assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("scalar", [True, False], ids=["scalar", "array"])
+def test_linear_profile_matches_partial_fractions(scalar):
+    # p = c + s: 1/(c + e^u) = (1 - e^u/(c + e^u))/c integrates to
+    # (u - log(c + e^u))/c, and likewise for r2 with 1 + c - e^u
+    c = 1.05
+    geom = domain_from_exponent(expression_profile("1.05+s"))
+    s = np.concatenate((np.logspace(-300, -1, 300), np.linspace(0.1, 0.9, 81),
+                        1.0 - np.logspace(-1, -9, 90)))
+    want1 = (np.log(s) - np.log((c + s) / (c + 1.0))) / c
+    want2 = (np.log1p(-s) - np.log1p(s / c)) / (c + 1.0)
+    for f, want in ((geom.log_r1, want1), (geom.log_r2, want2)):
+        got = np.array([f(v) for v in s]) if scalar else f(s)
+        assert np.all(np.abs(got - want)
+                      <= 1e-15 * np.maximum(1.0, np.abs(want)))
+
+
+def test_scalar_radial_pass_evaluates_few_points():
+    # panels graded toward u = 0 only, 16 nodes each: 49 pieces, 784 values
+    expr = parse_expr(EX_PROFILE)
+    sizes = []
+
+    def p(s):
+        sizes.append(np.size(s))
+        return expr(s)
+
+    geom = domain_from_exponent(ExponentProfile("expression", 1.0, 1.0, p))
+    for f in (geom.log_r1, geom.log_r2):
+        sizes.clear()
+        f(0.3)
+        assert 0 < sum(sizes) <= 800
 
 
 def test_cumulative_pass_edge_queries():
@@ -388,6 +435,26 @@ def test_curvature_domain_check(ball):
         curvatures_at(ball, 0.0)
     with pytest.raises(DomainError):
         curvatures_at(ball, 1.5)
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "expr", "p_check": EX_PROFILE},
+    {"kind": "table", "s": [0, 0.25, 0.5, 0.75, 1], "p": [2, 3, 2.5, 4, 3]},
+], ids=["expr", "table"])
+def test_curvatures_over_an_array_match_scalar_calls(spec):
+    # an array of s takes one call of each radial profile; its values agree
+    # with the per-point calls to rounding, and a scalar still gives floats
+    geom = domain_from_spec(spec)
+    ss = np.linspace(0.0, 1.0, 52)[1:-1]
+    arr = curvatures_at(geom, ss)
+    one = [curvatures_at(geom, float(s)) for s in ss]
+    for f in dataclasses.fields(arr):
+        got, want = getattr(arr, f.name), [getattr(c, f.name) for c in one]
+        assert isinstance(got, np.ndarray) and got.shape == ss.shape
+        assert all(type(v) is float for v in want)
+        assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+    with pytest.raises(DomainError):
+        curvatures_at(geom, np.array([0.5, 1.0]))
 
 
 # ---------------------------------------------------------------------------
