@@ -117,7 +117,8 @@ def _run_leray_grid(args, geom):
                 zip(grid.log_norm_sq.tolist(), grid.err.tolist()))
             for m2, (v, e) in enumerate(zip(vs, es))]
     header = ["m1", "m2", "log_norm_sq", "err_est"]
-    obj = {"M": args.max, "entries": [dict(zip(header, r)) for r in rows]}
+    obj = ({"M": args.max, "entries": [dict(zip(header, r)) for r in rows]}
+           if args.format == "json" else None)  # CSV needs no JSON entries
     code = EXIT_OK if bool(grid.converged.all()) else EXIT_NONCONVERGENCE
     return header, rows, obj, code
 

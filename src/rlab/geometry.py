@@ -11,7 +11,8 @@ reciprocal intercepts; its radial profiles satisfy r1*(s) r1(s) = s and
 r2*(s) r2(s) = 1 - s pointwise.  All radial evaluation happens in log space
 so that high powers r1^{2 m} stay representable.  For a non-constant
 exponent, one call evaluates all its points in a single cumulative pass of
-16-point Gauss panels over u = log s (or u = log(1 - s)); nothing is cached.
+16-point Gauss panels over u = log s (or u = log(1 - s)), and a one-point
+call sums its pieces directly; nothing is cached.
 Tables use a numpy PCHIP, so no verb on a table imports scipy's interpolate.
 """
 
@@ -219,16 +220,47 @@ def _suffix_sums(pieces: np.ndarray) -> np.ndarray:
     return np.append(run[::-1], 0.0)
 
 
+def _panel_sums(f: Callable, e: np.ndarray) -> np.ndarray:
+    """One 16-point Gauss panel of f on each piece between the sorted edges
+    e; an empty piece counts 0 whatever f is there."""
+    mid = 0.5 * (e[:-1] + e[1:])[:, None]
+    half = 0.5 * (e[1:] - e[:-1])[:, None]
+    vals = (half * _GW * f(mid + half * _GX)).sum(1)
+    return np.where(half[:, 0] > 0.0, vals, 0.0)
+
+
+# The pieces of _panel_edges(a, 0.0) are not empty, and their panels have
+# nodes a * _NODE_MID + a * _NODE_OFF and weights a * _WEIGHT, bit for bit
+# as _panel_sums makes them: the half-widths are powers of two times a.
+_HALF = 0.5 * np.diff(_panel_edges(1.0, 0.0))[:, None]
+_NODE_MID = _panel_edges(1.0, 0.0)[:-1, None] + _HALF + 0.0 * _GX
+_NODE_OFF, _WEIGHT = _HALF * _GX, _HALF * _GW
+
+
 def _integrals_to_zero(f: Callable, x: np.ndarray, knots) -> np.ndarray:
     """int_{log x}^0 f(u) du for every x in (0, 1], in one pass.
 
     The sorted log-queries and log-knots (the x where f is not smooth)
     split the graded panels of [min log x, 0] into pieces; each piece gets one
     16-point Gauss panel and suffix sums give every integral at once.
+    A single x is the lower end of all its pieces, so its integral is their
+    math.fsum: no query edges, search, suffix sums, nor sort without knots.
     x <= 0 gives inf.  Empty pieces (from x >= 1 or repeated edges) count
     0 whatever f is there.  Peak memory is about four arrays the size of x.
     """
     x = np.asarray(x, dtype=float)
+    if x.size == 1:
+        v = x.item()
+        if not 0.0 < v < 1.0:
+            return np.full(x.shape, math.inf if v <= 0.0 else
+                           0.0 if v >= 1.0 else math.nan)
+        a = np.log(x).item()  # np.log, as the many-query pass takes it
+        if knots.size:
+            knots = np.log(knots[(knots > math.exp(a)) & (knots < 1.0)])
+        pieces = (_panel_sums(f, np.sort(np.concatenate(
+            (_panel_edges(a, 0.0), knots)))) if knots.size else
+            (a * _WEIGHT * f(a * _NODE_MID + a * _NODE_OFF)).sum(1))
+        return np.full(x.shape, math.fsum(pieces.tolist()))
     flat = x.ravel()
     # log 1 = 0 stands in for x >= 1 (integral 0), and for x <= 0 and nan,
     # whose results are set last
@@ -242,11 +274,8 @@ def _integrals_to_zero(f: Callable, x: np.ndarray, knots) -> np.ndarray:
     del u
     pieces = np.empty(edges.size - 1)
     for lo in range(0, pieces.size, _PIECE_CHUNK):
-        e = edges[lo:lo + _PIECE_CHUNK + 1]
-        mid = 0.5 * (e[:-1] + e[1:])[:, None]
-        half = 0.5 * (e[1:] - e[:-1])[:, None]
-        vals = (half * _GW * f(mid + half * _GX)).sum(1)
-        pieces[lo:lo + _PIECE_CHUNK] = np.where(half[:, 0] > 0.0, vals, 0.0)
+        pieces[lo:lo + _PIECE_CHUNK] = _panel_sums(
+            f, edges[lo:lo + _PIECE_CHUNK + 1])
     del edges
     out = _suffix_sums(pieces)[idx]
     out[flat <= 0.0] = np.inf

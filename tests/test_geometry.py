@@ -288,7 +288,7 @@ def test_linear_profile_matches_partial_fractions(scalar):
 
 
 def test_scalar_radial_pass_evaluates_few_points():
-    # panels graded toward u = 0 only, 16 nodes each: 49 pieces, 784 values
+    # panels graded toward u = 0 only, 16 nodes each: 48 pieces, 768 values
     expr = parse_expr(EX_PROFILE)
     sizes = []
 
@@ -312,6 +312,51 @@ def test_cumulative_pass_edge_queries():
     assert np.allclose(got[:4], [math.log(4.0), math.log(2.0), 0.0, 0.0],
                        rtol=1e-15)
     assert got[4] == math.inf and math.isnan(got[5])
+    # one query, 0-d or (1,), takes the one-point pass; log 0.5 is half of
+    # log 0.25 exactly, so the knot 0.5 repeats a panel edge of x = 0.25:
+    # an empty piece at the one u where f is nan
+    assert math.log(0.5) == 0.5 * math.log(0.25)
+    one = np.nextafter(1.0, 0.0)
+    for x, knots, want in [
+            (0.25, [], math.log(4.0)), (0.5, [], math.log(2.0)),
+            (1.0, [], 0.0), (2.0, [], 0.0), (0.0, [], math.inf),
+            (-1.0, [], math.inf), (math.nan, [], math.nan),
+            (5e-324, [], -math.log(5e-324)), (one, [], -math.log(one)),
+            (0.25, [0.5], math.log(4.0))]:
+        for shape in ((), (1,)):
+            got = _integrals_to_zero(f, np.full(shape, x), np.array(knots))
+            assert got.shape == shape
+            np.testing.assert_allclose(got, np.full(shape, want), rtol=1e-15)
+
+
+_BIT_SPECS = {
+    "log": {"kind": "expr", "p_check": EX_PROFILE},
+    "slogs": {"kind": "expr", "p_check": "2+s*log(s)"},
+    "linear": {"kind": "expr", "p_check": "40+10*s"},
+    "table9": {"kind": "table", "s": np.linspace(0.0, 1.0, 9).tolist(),
+               "p": [2.0, 3.0, 2.5, 4.0, 3.0, 2.2, 3.3, 2.8, 2.1]},
+    "table5": {"kind": "table", "s": [0.0, 0.25, 0.5, 0.75, 1.0],
+               "p": [2.0, 3.0, 2.5, 4.0, 3.0]},
+}
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["profile", "dual"])
+@pytest.mark.parametrize("name", sorted(_BIT_SPECS))
+def test_scalar_radial_pass_matches_array_pass(name, dual):
+    # a repeated query only adds empty pieces, so s given as [s, s] runs the
+    # many-query pass on the pieces of the one-point pass of s: the two sums
+    # of the same pieces must agree bit for bit, for 0-d and (1,) inputs
+    geom = domain_from_spec(_BIT_SPECS[name])
+    geom = dual_complement(geom) if dual else geom
+    rng = np.random.default_rng(7)
+    s = np.concatenate((rng.random(500), 10.0 ** -rng.uniform(1, 300, 250),
+                        1.0 - 10.0 ** -rng.uniform(1, 15, 250)))
+    for f in (geom.log_r1, geom.log_r2):
+        want = np.array([f(np.array([v, v]))[0] for v in s])
+        got = np.array([f(v) for v in s])
+        assert got.tobytes() == want.tobytes()
+        got = np.array([f(np.array([v]))[0] for v in s[::5]])
+        assert got.tobytes() == want[::5].tobytes()
 
 
 def test_ball_radial_is_sqrt(ball):
