@@ -229,14 +229,6 @@ def _panel_sums(f: Callable, e: np.ndarray) -> np.ndarray:
     return np.where(half[:, 0] > 0.0, vals, 0.0)
 
 
-# The pieces of _panel_edges(a, 0.0) are not empty, and their panels have
-# nodes a * _NODE_MID + a * _NODE_OFF and weights a * _WEIGHT, bit for bit
-# as _panel_sums makes them: the half-widths are powers of two times a.
-_HALF = 0.5 * np.diff(_panel_edges(1.0, 0.0))[:, None]
-_NODE_MID = _panel_edges(1.0, 0.0)[:-1, None] + _HALF + 0.0 * _GX
-_NODE_OFF, _WEIGHT = _HALF * _GX, _HALF * _GW
-
-
 def _integrals_to_zero(f: Callable, x: np.ndarray, knots) -> np.ndarray:
     """int_{log x}^0 f(u) du for every x in (0, 1], in one pass.
 
@@ -255,11 +247,11 @@ def _integrals_to_zero(f: Callable, x: np.ndarray, knots) -> np.ndarray:
             return np.full(x.shape, math.inf if v <= 0.0 else
                            0.0 if v >= 1.0 else math.nan)
         a = np.log(x).item()  # np.log, as the many-query pass takes it
+        e = _panel_edges(a, 0.0)
         if knots.size:
             knots = np.log(knots[(knots > math.exp(a)) & (knots < 1.0)])
-        pieces = (_panel_sums(f, np.sort(np.concatenate(
-            (_panel_edges(a, 0.0), knots)))) if knots.size else
-            (a * _WEIGHT * f(a * _NODE_MID + a * _NODE_OFF)).sum(1))
+            e = np.sort(np.concatenate((e, knots)))
+        pieces = _panel_sums(f, e)
         return np.full(x.shape, math.fsum(pieces.tolist()))
     flat = x.ravel()
     # log 1 = 0 stands in for x >= 1 (integral 0), and for x <= 0 and nan,
