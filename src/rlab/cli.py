@@ -103,6 +103,8 @@ def _run_describe(args, geom):
 
 
 def _run_curvature(args, geom):
+    if args.samples < 1:
+        raise ValueError("--samples must be at least 1")
     ss = np.linspace(0.0, 1.0, args.samples + 2)[1:-1]
     c = geometry.curvatures_at(geom, ss)
     rows = list(zip(*(a.tolist() for a in (ss, c.kappa1, c.kappa2, c.kappa3,

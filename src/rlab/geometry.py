@@ -11,8 +11,8 @@ reciprocal intercepts; its radial profiles satisfy r1*(s) r1(s) = s and
 r2*(s) r2(s) = 1 - s pointwise.  All radial evaluation happens in log space
 so that high powers r1^{2 m} stay representable.  For a non-constant
 exponent, one call evaluates all its points in a single cumulative pass of
-16-point Gauss panels over u = log s (or u = log(1 - s)), and a one-point
-call sums its pieces directly; nothing is cached.
+16-point Gauss panels over u = log s (or u = log(1 - s)); both radii of one
+point sum their pieces from one profile call.  Nothing is cached.
 Tables use a numpy PCHIP, so no verb on a table imports scipy's interpolate.
 """
 
@@ -235,24 +235,11 @@ def _integrals_to_zero(f: Callable, x: np.ndarray, knots) -> np.ndarray:
     The sorted log-queries and log-knots (the x where f is not smooth)
     split the graded panels of [min log x, 0] into pieces; each piece gets one
     16-point Gauss panel and suffix sums give every integral at once.
-    A single x is the lower end of all its pieces, so its integral is their
-    math.fsum: no query edges, search, suffix sums, nor sort without knots.
+    (Both radii of one point take DomainGeometry's paired pass instead.)
     x <= 0 gives inf.  Empty pieces (from x >= 1 or repeated edges) count
     0 whatever f is there.  Peak memory is about four arrays the size of x.
     """
     x = np.asarray(x, dtype=float)
-    if x.size == 1:
-        v = x.item()
-        if not 0.0 < v < 1.0:
-            return np.full(x.shape, math.inf if v <= 0.0 else
-                           0.0 if v >= 1.0 else math.nan)
-        a = np.log(x).item()  # np.log, as the many-query pass takes it
-        e = _panel_edges(a, 0.0)
-        if knots.size:
-            knots = np.log(knots[(knots > math.exp(a)) & (knots < 1.0)])
-            e = np.sort(np.concatenate((e, knots)))
-        pieces = _panel_sums(f, e)
-        return np.full(x.shape, math.fsum(pieces.tolist()))
     flat = x.ravel()
     # log 1 = 0 stands in for x >= 1 (integral 0), and for x <= 0 and nan,
     # whose results are set last
@@ -294,19 +281,18 @@ class DomainGeometry:
     Radial profiles are exposed in log space (log_r1, log_r2) together with
     the dual profiles (log_r1_star, log_r2_star) defined by the exact
     pointwise identities r1*(s) r1(s) = s and r2*(s) r2(s) = 1 - s.
-    An instance holds its profile and two radial functions, nothing else:
+    An instance holds its profile, two radial functions and a dual's primal:
     every call evaluates its points afresh (describe() its limits and
     flags), so evaluators are pure and instances safe to share.
     """
 
     def __init__(self, profile: ExponentProfile,
-                 _log_r1_xy: Callable | None = None,
-                 _log_r2_xy: Callable | None = None):
-        self.profile = profile
+                 _primal: DomainGeometry | None = None):
+        self.profile, self._primal = profile, _primal
         const_p = profile.constant_p
-        if _log_r1_xy is not None:
-            self._lr1_xy = _log_r1_xy
-            self._lr2_xy = _log_r2_xy
+        if _primal is not None:
+            self._lr1_xy = _primal.log_r1_star_xy
+            self._lr2_xy = _primal.log_r2_star_xy
         elif const_p is not None:
             lb1, lb2, q = math.log(profile.b1), math.log(profile.b2), 1.0 / const_p
             self._lr1_xy = lambda s, sm: lb1 + q * _log(s)
@@ -331,6 +317,34 @@ class DomainGeometry:
         return math.log(p.b2) - _integrals_to_zero(
             lambda u: 1.0 / p((-np.expm1(u)).clip(*_OPEN)), sm,
             1.0 - np.array(p.knots))
+
+    def _quadrature_log_radii(self, s: float) -> tuple:
+        # r1's pieces on [log s, 0], then r2's on [log(1 - s), 0], knots
+        # included; the piece joining them runs backwards, so counts 0
+        p, knots, sides = self.profile, np.array(self.profile.knots), []
+        for a, k in zip(np.log([s, 1.0 - s]).tolist(), (knots, 1.0 - knots)):
+            e = _panel_edges(a, 0.0)
+            if k.size:
+                k = np.log(k[(k > math.exp(a)) & (k < 1.0)])
+                e = np.sort(np.concatenate((e, k)))
+            sides.append(e)
+        n = sides[0].size
+        pieces = _panel_sums(lambda u: 1.0 / p(np.concatenate(
+            (np.exp(u[:n]), -np.expm1(u[n:]))).clip(*_OPEN)),
+            np.concatenate(sides)).tolist()
+        return (math.log(p.b1) - math.fsum(pieces[:n - 1]),
+                math.log(p.b2) - math.fsum(pieces[n:]))
+
+    def log_radii(self, s):
+        """(log r1(s), log r2(s)), floats for a float; one s: paired pass."""
+        s = np.asarray(s, dtype=float)
+        if self._primal is None:
+            if s.ndim == 0 and 0.0 < s < 1.0 and self.profile.constant_p is None:
+                return self._quadrature_log_radii(float(s))
+            return self.log_r1(s), self.log_r2(s)
+        lr1, lr2 = self._primal.log_radii(s)  # as in log_r*_star_xy
+        lr1, lr2 = _log(s) - lr1, _log(1.0 - s) - lr2
+        return (float(lr1), float(lr2)) if s.ndim == 0 else (lr1, lr2)
 
     def log_r1_xy(self, s, sm):
         return self._lr1_xy(np.asarray(s, float), np.asarray(sm, float))
@@ -460,14 +474,12 @@ def dual_complement(geom: DomainGeometry) -> DomainGeometry:
     except ExponentOutOfRange as exc:  # p > 1, so only rounding gets here
         raise ExponentOutOfRange("the dual's exponent p/(p - 1) rounds to 1 "
                                  "in double precision: p is too large") from exc
-    return DomainGeometry(star,
-                          _log_r1_xy=geom.log_r1_star_xy,
-                          _log_r2_xy=geom.log_r2_star_xy)
+    return DomainGeometry(star, _primal=geom)
 
 
 def curvatures_at(geom: DomainGeometry, s) -> CurvatureTriple:
     """Principal curvatures of the boundary at parameter s: floats for a
-    scalar s, arrays for an array s (one call of each radial profile).
+    scalar s, arrays for an array s (one log_radii call).
 
     With Q = (s/r1)^2 + ((1-s)/r2)^2 the three curvatures are
 
@@ -480,11 +492,10 @@ def curvatures_at(geom: DomainGeometry, s) -> CurvatureTriple:
     s = np.asarray(s, dtype=float)[()]  # a numpy float if s is a scalar
     if not ((s > 0.0) & (s < 1.0)).all():
         raise DomainError("curvatures are defined for s in (0, 1)")
-    r1, r2, sm = geom.r1(s), geom.r2(s), 1.0 - s
+    (r1, r2), sm = np.exp(geom.log_radii(s)), 1.0 - s
     q = (s / r1) ** 2 + (sm / r2) ** 2
     sq = np.sqrt(q)
-    k1 = s / (r1 * r1 * sq)
-    k2 = sm / (r2 * r2 * sq)
+    k1, k2 = s / (r1 * r1 * sq), sm / (r2 * r2 * sq)
     k3 = (geom.p_at(s) - 1.0) * s * sm / (r1 * r1 * r2 * r2) * q ** -1.5
     ratio = k3 / (k1 * k2)
     out = (k1, k2, k3, ratio, 1.0 + ratio * sq)

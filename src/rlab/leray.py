@@ -241,8 +241,8 @@ def boundedness_report(geom: DomainGeometry, M: int,
     """
     if M < 16:
         raise DomainError("boundedness_report needs M >= 16")
-    if not all(math.isfinite(x) and x >= 0.0 for x in rays):
-        raise DomainError("rays must be finite and non-negative")
+    if len(rays) == 0 or not all(math.isfinite(x) and x >= 0.0 for x in rays):
+        raise DomainError("rays must be non-empty, finite and non-negative")
     grid = leray_norm_grid(geom, M, M)
     sup_small, _ = _grid_sup(grid, M // 4)
     sup_full, argmax = _grid_sup(grid, M)
@@ -263,7 +263,7 @@ def boundedness_report(geom: DomainGeometry, M: int,
             res.limit, pred.value, dev, res.converged))
 
     rays_ok = all(d.rel_dev is not None and d.rel_dev < 0.05
-                  for d in diagnostics) if diagnostics else True
+                  for d in diagnostics)
     if growth > 2.0 and sup_full > 1.5:
         verdict = "unbounded-consistent"
         evidence = (f"grid sup grew {growth:.3g}x from degree {M//4} to {M} "

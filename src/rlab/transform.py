@@ -339,8 +339,10 @@ def exp_norm_sq(geom: DomainGeometry, r: float, t: float) -> float:
         raise DomainError("exp_norm_sq needs a finite r >= 0")
     if not (0.0 <= t <= 1.0):
         raise DomainError("t must lie in [0, 1]")
-    lr1t = float(geom.log_r1_star(t)) if t > 0 else -math.inf
-    lr2t = float(geom.log_r2_star(t)) if t < 1 else -math.inf
+    with np.errstate(invalid="ignore"):  # a dual's unused radius at t = 0, 1
+        lr1, lr2 = geom.log_radii(t)
+    lr1t = float(np.log(t) - lr1) if t > 0 else -math.inf
+    lr2t = float(np.log1p(-t) - lr2) if t < 1 else -math.inf
     return float(_log_exp_norms(geom, np.array([float(r)]), np.array([lr1t]),
                                 np.array([lr2t]), 6)[0, 0, 0])
 

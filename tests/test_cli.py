@@ -162,6 +162,15 @@ def test_curvature_grid(capsys):
     assert float(row[1]) == pytest.approx(1.0, rel=1e-10)
 
 
+@pytest.mark.parametrize("samples", ["0", "-2"])
+def test_curvature_rejects_no_samples(capsys, samples):
+    # no points would print only the header and exit 0
+    code, out, err = run(capsys, "curvature", "--domain", BALL,
+                         "--samples", samples)
+    assert code == 1 and out == ""
+    assert _one_line_error(err)
+
+
 def test_leray_grid_ball(capsys):
     code, out, _err = run(capsys, "leray-grid", "--domain", BALL,
                           "--max", "4", "--format", "json")
@@ -179,7 +188,7 @@ def test_leray_rays_verdict(capsys):
     assert obj["verdict"] == "bounded-consistent"
 
 
-@pytest.mark.parametrize("rays", ["inf", "nan", "-1", "0.5,inf"])
+@pytest.mark.parametrize("rays", ["inf", "nan", "-1", "0.5,inf", ","])
 def test_leray_rays_rejects_bad_rays(capsys, rays):
     code, _out, err = run(capsys, "leray-rays", "--domain", BALL,
                           "--max", "16", "--rays", rays)

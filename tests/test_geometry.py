@@ -289,6 +289,7 @@ def test_linear_profile_matches_partial_fractions(scalar):
 
 def test_scalar_radial_pass_evaluates_few_points():
     # panels graded toward u = 0 only, 16 nodes each: 48 pieces, 768 values
+    # per radius; log_radii takes both radii of one s from one profile call
     expr = parse_expr(EX_PROFILE)
     sizes = []
 
@@ -301,6 +302,9 @@ def test_scalar_radial_pass_evaluates_few_points():
         sizes.clear()
         f(0.3)
         assert 0 < sum(sizes) <= 800
+    sizes.clear()
+    geom.log_radii(0.3)
+    assert len(sizes) == 1 and 0 < sizes[0] <= 1600
 
 
 def test_cumulative_pass_edge_queries():
@@ -312,7 +316,7 @@ def test_cumulative_pass_edge_queries():
     assert np.allclose(got[:4], [math.log(4.0), math.log(2.0), 0.0, 0.0],
                        rtol=1e-15)
     assert got[4] == math.inf and math.isnan(got[5])
-    # one query, 0-d or (1,), takes the one-point pass; log 0.5 is half of
+    # one query, 0-d or (1,), takes the same pass; log 0.5 is half of
     # log 0.25 exactly, so the knot 0.5 repeats a panel edge of x = 0.25:
     # an empty piece at the one u where f is nan
     assert math.log(0.5) == 0.5 * math.log(0.25)
@@ -343,20 +347,48 @@ _BIT_SPECS = {
 @pytest.mark.parametrize("dual", [False, True], ids=["profile", "dual"])
 @pytest.mark.parametrize("name", sorted(_BIT_SPECS))
 def test_scalar_radial_pass_matches_array_pass(name, dual):
-    # a repeated query only adds empty pieces, so s given as [s, s] runs the
-    # many-query pass on the pieces of the one-point pass of s: the two sums
-    # of the same pieces must agree bit for bit, for 0-d and (1,) inputs
+    # log_radii of one s sums the pieces of both radii with math.fsum; a
+    # repeated query only adds empty pieces, so s given as [s, s] runs the
+    # many-query pass on the same pieces, and the two sums must agree bit
+    # for bit.  Below 2^-53, 1 - s rounds to 1 and r2 has no pieces.
     geom = domain_from_spec(_BIT_SPECS[name])
     geom = dual_complement(geom) if dual else geom
     rng = np.random.default_rng(7)
     s = np.concatenate((rng.random(500), 10.0 ** -rng.uniform(1, 300, 250),
-                        1.0 - 10.0 ** -rng.uniform(1, 15, 250)))
-    for f in (geom.log_r1, geom.log_r2):
-        want = np.array([f(np.array([v, v]))[0] for v in s])
-        got = np.array([f(v) for v in s])
-        assert got.tobytes() == want.tobytes()
-        got = np.array([f(np.array([v]))[0] for v in s[::5]])
-        assert got.tobytes() == want[::5].tobytes()
+                        1.0 - 10.0 ** -rng.uniform(1, 15, 250),
+                        [5e-324, 1e-300, 2.0 ** -60, 2.0 ** -54, 1e-16,
+                         1.0 - 1e-15, np.nextafter(1.0, 0.0)]))
+    want = np.array([[f(np.array([v, v]))[0] for f in (geom.log_r1,
+                                                       geom.log_r2)]
+                     for v in s])
+    pairs = [geom.log_radii(v) for v in s]
+    assert all(type(a) is float and type(b) is float for a, b in pairs)
+    assert np.array(pairs).tobytes() == want.tobytes()
+    # a lone log_r1 or log_r2 runs the many-query pass on one point
+    got = np.array([[geom.log_r1(v), geom.log_r2(np.array([v]))[0]]
+                    for v in s[::5]])
+    assert got.tobytes() == want[::5].tobytes()
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["profile", "dual"])
+@pytest.mark.parametrize("spec", [{"kind": "egg", "p": 3},
+                                  {"kind": "expr", "p_check": EX_PROFILE}],
+                         ids=["egg", "expr"])
+def test_log_radii_is_the_two_radial_profiles(spec, dual):
+    # closed forms for a constant p, the paired pass for one s in (0, 1),
+    # the many-query passes for arrays and the ends; a dual from its primal
+    geom = domain_from_spec(spec)
+    geom = dual_complement(geom) if dual else geom
+    s = np.array([0.0, 1e-200, 0.3, 0.5, 1.0 - 1e-12, 1.0])
+    with np.errstate(invalid="ignore"):  # a dual's r1*(0) and r2*(1) are nan
+        lr1, lr2 = geom.log_radii(s)
+        want = np.array([geom.log_r1(s), geom.log_r2(s)])
+        for i, v in enumerate(s.tolist()):
+            pair = geom.log_radii(v)
+            assert all(type(x) is float for x in pair)
+            np.testing.assert_allclose(pair, want[:, i], rtol=1e-15)
+    assert isinstance(lr1, np.ndarray) and lr1.shape == s.shape
+    np.testing.assert_array_equal(np.array([lr1, lr2]), want)
 
 
 def test_ball_radial_is_sqrt(ball):
