@@ -52,6 +52,13 @@ def _log(x):
         return np.log(x)
 
 
+def _log_over(log_a, log_b):
+    """log_a - log_b, -inf where log_a is -inf: r1* = s / r1 and
+    r2* = (1 - s) / r2 vanish at s = 0 and 1, where r1 and r2 do too."""
+    out = np.full(np.broadcast(log_a, log_b).shape, -np.inf)
+    return np.subtract(log_a, log_b, out=out, where=log_a != -np.inf)[()]
+
+
 # ---------------------------------------------------------------------------
 # exponent profiles
 # ---------------------------------------------------------------------------
@@ -343,7 +350,7 @@ class DomainGeometry:
                 return self._quadrature_log_radii(float(s))
             return self.log_r1(s), self.log_r2(s)
         lr1, lr2 = self._primal.log_radii(s)  # as in log_r*_star_xy
-        lr1, lr2 = _log(s) - lr1, _log(1.0 - s) - lr2
+        lr1, lr2 = _log_over(_log(s), lr1), _log_over(_log(1.0 - s), lr2)
         return (float(lr1), float(lr2)) if s.ndim == 0 else (lr1, lr2)
 
     def log_r1_xy(self, s, sm):
@@ -353,10 +360,10 @@ class DomainGeometry:
         return self._lr2_xy(np.asarray(s, float), np.asarray(sm, float))
 
     def log_r1_star_xy(self, s, sm):
-        return _log(s) - self.log_r1_xy(s, sm)
+        return _log_over(_log(s), self.log_r1_xy(s, sm))
 
     def log_r2_star_xy(self, s, sm):
-        return _log(sm) - self.log_r2_xy(s, sm)
+        return _log_over(_log(sm), self.log_r2_xy(s, sm))
 
     def log_r1(self, s):
         s = np.asarray(s, dtype=float)
@@ -376,12 +383,19 @@ class DomainGeometry:
 
     def log_r1_star(self, s):
         s = np.asarray(s, dtype=float)
-        return _log(s) - self.log_r1(s)
+        return _log_over(_log(s), self.log_r1(s))
 
     def log_r2_star(self, s):
         s = np.asarray(s, dtype=float)
         with np.errstate(divide="ignore"):
-            return np.log1p(-s) - self.log_r2(s)
+            return _log_over(np.log1p(-s), self.log_r2(s))
+
+    def log_star_radii(self, s: float) -> tuple:
+        """(log r1*(s), log r2*(s)) from one log_radii call, as floats."""
+        lr1, lr2 = self.log_radii(s)
+        with np.errstate(divide="ignore"):
+            return (float(_log_over(np.log(s), lr1)),
+                    float(_log_over(np.log1p(-s), lr2)))
 
     def r1_star(self, s):
         return np.exp(self.log_r1_star(s))

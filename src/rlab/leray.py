@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, IndexOutOfTable
 from .geometry import DomainGeometry, dual_complement
-from .numerics import (extrapolate_limit, log_beta, log_gamma, log_matmul,
+from .numerics import (extrapolate_limit, log_gamma, log_matmul,
                        tanh_sinh_indexed)
 
 __all__ = [
@@ -76,6 +76,17 @@ def _log_moment_sums(geom: DomainGeometry, m1, m2, log_weight=None,
     return sums[:, inv1, inv2].reshape((2,) + m1.shape)
 
 
+def _log_gamma_of_sums(n, p):
+    """log Gamma(2n/p + 2) over degree sums n: one log_gamma on the range
+    of an integer n that spans at most its size (a degree box), then a
+    gather; other n elementwise.  Both give the same bits."""
+    n = np.asarray(n)
+    if n.dtype.kind in "iu" and n.size and np.ptp(n) < n.size:
+        lo = n.min()
+        return log_gamma(2.0 * np.arange(lo, n.max() + 1) / p + 2.0)[n - lo]
+    return log_gamma(2.0 * n / p + 2.0)
+
+
 def _log_moments(geom: DomainGeometry, m1, m2):
     """log I(m1, m2) and its error estimate, broadcast over the degrees:
     the Beta closed form I = b1^{2m1} b2^{2m2} B(2m1/p + 1, 2m2/p + 1),
@@ -87,7 +98,8 @@ def _log_moments(geom: DomainGeometry, m1, m2):
         return fine, np.abs(fine - coarse)
     log_i = (2.0 * m1 * math.log(geom.profile.b1)
              + 2.0 * m2 * math.log(geom.profile.b2)
-             + log_beta(2.0 * m1 / p + 1.0, 2.0 * m2 / p + 1.0))
+             + (log_gamma(2.0 * m1 / p + 1.0) + log_gamma(2.0 * m2 / p + 1.0)
+                - _log_gamma_of_sums(m1 + m2, p)))
     return log_i, np.zeros_like(log_i)
 
 
@@ -131,9 +143,9 @@ def moment_table(geom: DomainGeometry, M1: int, M2: int) -> MomentTable:
 
 def log_gamma_factor(m1, m2):
     """log of (m1 + m2 + 1)! / (m1! m2!)."""
-    m1 = np.asarray(m1, dtype=float)
-    m2 = np.asarray(m2, dtype=float)
-    return log_gamma(m1 + m2 + 2.0) - log_gamma(m1 + 1.0) - log_gamma(m2 + 1.0)
+    m1, m2 = np.asarray(m1), np.asarray(m2)  # 2n/2 + 2 = n + 2 exactly
+    return (_log_gamma_of_sums(m1 + m2, 2.0) - log_gamma(m1 + 1.0)
+            - log_gamma(m2 + 1.0))
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,12 @@ only) and sequence-limit extrapolation.
 scipy.special is imported inside the functions that call it, at their first
 call, so importing the package loads numpy but no scipy; neither does building
 any geometry or its dual, and no verb on a table loads scipy's interpolate.
-Everything here is pure and reentrant.  Every integral over the boundary
-parameter elsewhere in the library is one sum over the nodes of a tanh-sinh
-level, with moment-type integrands evaluated as exp(sum of m_i * log r_i) so
-that degrees up to a few hundred stay inside double range.
+Everything here is pure and reentrant.  No library product goes through BLAS
+(einsum, never @), so no BLAS thread starts and CPU time tracks wall time.
+Every integral over the boundary parameter elsewhere in the library is one
+sum over the nodes of a tanh-sinh level, with moment-type integrands
+evaluated as exp(sum of m_i * log r_i) so that degrees up to a few hundred
+stay inside double range.
 
 Tanh-sinh levels nest (Takahasi & Mori 1974; Bailey, Jeyabalan & Li 2005):
 the nodes of level L - 1 are the nodes of level L with even index k, carrying

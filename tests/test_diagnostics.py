@@ -172,6 +172,56 @@ def test_counterexample_tail_slopes():
     assert laws["hardy"] == pytest.approx(-1.0, abs=0.05)
 
 
+def _elementwise_log_terms(K):
+    # the four log series term by term, each log-Gamma from its own gammaln
+    # call, in the order of additions of the closed forms
+    from scipy.special import gammaln
+    k = np.arange(1, K + 1, dtype=float)
+    log_t_sq = 2.0 * (2.0 * k * math.log(2.0) - 0.75 * np.log(k)
+                      - 0.5 * gammaln(4.0 * k + 2.0))
+    log_b_sq = 2.0 * (2.0 * k * math.log(2.0) - 0.75 * np.log(k)
+                      - 0.5 * gammaln(4.0 * k + 2.5))
+    log_pow4 = 4.0 * k * math.log(2.0)
+    log_a_sq = (2.0 * math.log(4.0) + log_b_sq
+                + 2.0 * (gammaln(4.0 * k + 2.0) + 2.0 * gammaln(k + 1.0)
+                         - 2.0 * gammaln(2.0 * k + 1.0)))
+    log_moment = 2.0 * gammaln(2.0 * k + 1.0) - gammaln(4.0 * k + 2.0)
+    return k, {
+        "omega_G": log_t_sq - log_pow4 + gammaln(4.0 * k + 2.0),
+        "nu_G": log_t_sq - log_pow4 + gammaln(4.0 * k + 2.5),
+        "nu_F": log_b_sq - log_pow4 + gammaln(4.0 * k + 2.5),
+        "hardy": log_a_sq + log_moment - 2.0 * math.log(4.0),
+    }
+
+
+def test_counterexample_series_match_elementwise_terms():
+    # one log-Gamma per distinct argument keeps every sum bit for bit
+    rep = l1ball_counterexample(10_000)
+    k, log_terms = _elementwise_log_terms(10_000)
+    terms = {name: np.exp(t) for name, t in log_terms.items()}
+    assert np.array_equal(rep.bergman_omega_G_partial_sums,
+                          np.cumsum(terms["omega_G"]))
+    assert np.array_equal(rep.bergman_nu_G_partial_sums,
+                          np.cumsum(terms["nu_G"]))
+    assert np.array_equal(rep.bergman_nu_F_partial_sums,
+                          np.cumsum(terms["nu_F"]))
+    assert np.array_equal(rep.hardy_partial_sums, np.cumsum(terms["hardy"]))
+    assert np.array_equal(rep.hardy_k_times_term, k * terms["hardy"])
+
+
+@pytest.mark.filterwarnings("error")
+def test_counterexample_slopes_match_polyfit():
+    # the closed-form least-squares slopes on the log terms, warning-free,
+    # against np.polyfit of log(term) on log k over the top decade
+    laws = l1ball_counterexample(10_000).tail_law_estimates
+    k, log_terms = _elementwise_log_terms(10_000)
+    lo = k.size // 10
+    assert set(laws) == set(log_terms)
+    for name, t in log_terms.items():
+        want = np.polyfit(np.log(k[lo:]), np.log(np.exp(t[lo:])), 1)[0]
+        assert abs(laws[name] - want) < 1e-12, name
+
+
 def test_counterexample_hardy_tail_constant():
     rep = l1ball_counterexample(500)
     # k * (hardy term_k) tends to pi/2

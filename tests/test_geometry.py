@@ -432,6 +432,29 @@ def test_pointwise_duality_identity(varying):
     assert np.allclose(lhs2, np.log1p(-s), atol=1e-13)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("spec", [{"kind": "egg", "p": 3.0},
+                                  {"kind": "expr", "p_check": EX_PROFILE}])
+def test_dual_radii_vanish_at_the_ends(spec):
+    # r1*(0) = r2*(1) = 0 (log -inf), with no nan and no warning, for a
+    # geometry and its dual, in every form; a dual's own radii there are
+    # the primal's dual radii
+    geom = domain_from_spec(spec)
+    dual = dual_complement(geom)
+    ends = np.array([0.0, 1.0])
+    for g in (geom, dual):
+        assert g.log_r1_star(0.0) == g.log_r2_star(1.0) == -math.inf
+        assert g.log_r1_star_xy(0.0, 1.0) == -math.inf
+        assert g.log_r2_star_xy(1.0, 0.0) == -math.inf
+        assert g.log_r1_star(ends)[0] == g.log_r2_star(ends)[1] == -math.inf
+        assert (g.log_star_radii(0.0)[0] == g.log_star_radii(1.0)[1]
+                == -math.inf)
+    assert dual.log_radii(0.0)[0] == dual.log_radii(1.0)[1] == -math.inf
+    lr1, lr2 = dual.log_radii(ends)
+    assert lr1[0] == lr2[1] == -math.inf
+    assert np.all(np.isfinite([lr1[1], lr2[0]]))
+
+
 def test_dual_egg_conjugate_exponent():
     geom = domain_from_exponent(egg_profile(3.0))
     dual = dual_complement(geom)

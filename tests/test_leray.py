@@ -10,13 +10,16 @@ import math
 import numpy as np
 import pytest
 
+from rlab import leray
 from rlab.errors import DomainError, IndexOutOfTable
 from rlab.geometry import (domain_from_exponent, dual_complement, egg_profile,
                            expression_profile, tabulated_profile)
-from rlab.leray import (_leray_entries, _log_moment_sums, _radial_log_nodes,
-                        axis_limit_probe, boundedness_report, leray_norm_grid,
+from rlab.leray import (_leray_entries, _log_gamma_of_sums, _log_moment_sums,
+                        _radial_log_nodes, axis_limit_probe,
+                        boundedness_report, leray_norm_grid,
                         log_gamma_factor, moment_table, ray_limit_predictor)
-from rlab.numerics import nested_log_sums, tanh_sinh_indexed
+from rlab.numerics import (log_beta, log_gamma, nested_log_sums,
+                           tanh_sinh_indexed)
 
 EX_PROFILE = "2+1/log(10/s)"
 
@@ -59,11 +62,21 @@ def test_moment_quadrature_matches_beta():
     # constant detection routes this through the closed form already
     assert geom.profile.constant_p == pytest.approx(3.0)
     tab = moment_table(geom, 12, 12)
-    from rlab.numerics import log_beta
     for m1 in (0, 3, 12):
         for m2 in (0, 5, 12):
             want = log_beta(2 * m1 / 3.0 + 1.0, 2 * m2 / 3.0 + 1.0)
             assert tab.log_I_at(m1, m2) == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.25, 3.0, 8.0])
+def test_egg_moment_table_matches_elementwise_log_beta(p):
+    # the closed form takes log Gamma(2n/p + 2), n = m1 + m2, from one
+    # table; log_beta sums its arguments (2m1/p + 1) + (2m2/p + 1)
+    geom = domain_from_exponent(egg_profile(p))
+    m = np.arange(201.0)
+    want = log_beta(2.0 * m[:, None] / p + 1.0, 2.0 * m / p + 1.0)
+    got = moment_table(geom, 200, 200).log_I
+    assert np.max(np.abs(got - want)) < 1e-11
 
 
 def test_moment_table_varying_converges(varying):
@@ -99,6 +112,45 @@ def test_gamma_factor():
     assert math.exp(log_gamma_factor(1, 1)) == pytest.approx(6.0, rel=1e-13)
     assert math.exp(log_gamma_factor(0, 0)) == pytest.approx(1.0, rel=1e-13)
     assert math.exp(log_gamma_factor(2, 3)) == pytest.approx(60.0, rel=1e-12)
+
+
+def _three_term_gamma_factor(m1, m2):
+    m1, m2 = np.asarray(m1, dtype=float), np.asarray(m2, dtype=float)
+    return log_gamma(m1 + m2 + 2.0) - log_gamma(m1 + 1.0) - log_gamma(m2 + 1.0)
+
+
+def test_gamma_factor_is_the_three_term_formula(ball):
+    m1, m2 = np.arange(201)[:, None], np.arange(201)
+    assert np.array_equal(log_gamma_factor(m1, m2),
+                          _three_term_gamma_factor(m1, m2))
+    # axis_limit_probe's scattered pairs, up to degree 10^6
+    ns = np.array(axis_limit_probe(ball, 3, 10 ** 6).degrees, dtype=float)
+    m0 = np.full(ns.size, 3.0)
+    assert np.array_equal(log_gamma_factor(m0, ns),
+                          _three_term_gamma_factor(m0, ns))
+
+
+def test_log_gamma_of_sums_table_and_elementwise_agree(monkeypatch):
+    sizes = []
+
+    def counted(x):
+        sizes.append(np.size(x))
+        return log_gamma(x)
+
+    monkeypatch.setattr(leray, "log_gamma", counted)
+    box = np.add.outer(np.arange(201), np.arange(201))
+    scattered = np.array([3, 10, 10 ** 6])
+    for p in (1.25, 1.5, 2.0, 3.0):
+        sizes.clear()
+        table = _log_gamma_of_sums(box, p)
+        elementwise = _log_gamma_of_sums(box.astype(float), p)
+        assert sizes == [401, box.size]
+        assert np.array_equal(table, elementwise)
+        # a few far-apart degrees are evaluated where they are
+        sizes.clear()
+        assert np.array_equal(_log_gamma_of_sums(scattered, p),
+                              _log_gamma_of_sums(scattered.astype(float), p))
+        assert sizes == [3, 3]
 
 
 def test_ball_norms_are_one(ball):

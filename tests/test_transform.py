@@ -260,13 +260,28 @@ def test_exp_norm_at_the_ends_matches_bessel_sum(kernel_domain, t):
     # exp_norm_sq sums at s-level 6, and r1*(0) = r2*(1) = 0; r = 300
     # (degrees 0..434 of the series) at t = 0.3 and 0.7, on either side of
     # r1*(t) = r2*(t) on egg 3
-    lr1t = np.array([kernel_domain.log_r1_star(t) if t > 0 else -math.inf])
-    lr2t = np.array([kernel_domain.log_r2_star(t) if t < 1 else -math.inf])
+    lr1t = np.array([kernel_domain.log_r1_star(t)])
+    lr2t = np.array([kernel_domain.log_r2_star(t)])
     for r in (0.0, 35.0, R_MAX_60) if t in (0.0, 1.0) else (300.0,):
         want = _bessel_log_exp_norms(kernel_domain, np.array([r]),
                                      lr1t, lr2t, 6)[0, 0, 0]
         assert exp_norm_sq(kernel_domain, r, t) == pytest.approx(
             want, rel=0, abs=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t", [0.0, 1.0])
+def test_exp_norm_at_the_ends_of_a_dual(t):
+    # the value a dual gave when exp_norm_sq set log r1*(0) and log r2*(1)
+    # to -inf itself and took the other radius from log_radii
+    dual = KERNEL_DOMAINS["varying_dual"]()
+    lr1, lr2 = dual.log_radii(t)
+    lr1t = float(np.log(t) - lr1) if t > 0 else -math.inf
+    lr2t = float(np.log1p(-t) - lr2) if t < 1 else -math.inf
+    for r in (0.0, 35.0, R_MAX_60):
+        want = _log_exp_norms(dual, np.array([r]), np.array([lr1t]),
+                              np.array([lr2t]), 6)[0, 0, 0]
+        assert exp_norm_sq(dual, r, t) == want
 
 
 def test_exp_series_tail_is_negligible(kernel_domain):
