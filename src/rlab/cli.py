@@ -4,7 +4,8 @@ Verbs: describe, dual, curvature, leray-grid, leray-rays, laplace, norms,
 compare-lemma, weight-equiv, counterexample.
 
 Exit codes: 0 success, 1 usage error, 2 domain hypothesis not met,
-3 numeric non-convergence.
+3 numeric non-convergence (for laplace and hardy-side norms: a moment that
+an entry reads did not converge).
 """
 
 from __future__ import annotations
@@ -148,28 +149,36 @@ def _run_leray_rays(args, geom):
             rows, obj, code)
 
 
+def _moments_code(table, grid):
+    """Exit 3 when a moment the grid's entries read did not converge."""
+    return (EXIT_OK if all(table.converged[key] for key in grid.entries)
+            else EXIT_NONCONVERGENCE)
+
+
 def _run_laplace(args, geom):
     grid = _coeffs(args)
     table = leray.moment_table(geom, *_max_degrees(grid))
     obj = transform.laplace_map(geom, grid, table).to_json()
     # log |t| = log |a| + log(I / (4 m1! m2!)) stays finite where t underflows
+    log_abs = dict(zip(grid.entries, (
+        0.5 * transform._log_abs_sq(grid.entries.values())
+        + transform._laplace_log_scales(table, grid.entries)).tolist()))
     for e in obj["entries"]:
-        key = (e["m1"], e["m2"])
-        e["log_abs"] = (0.5 * transform._log_abs_sq(grid.entries[key])
-                        + transform._laplace_log_scale(table, *key))
+        e["log_abs"] = log_abs[(e["m1"], e["m2"])]
     header = ["m1", "m2", "re", "im", "log_abs"]
     return (header, [tuple(e[h] for h in header) for e in obj["entries"]],
-            obj, EXIT_OK)
+            obj, _moments_code(table, grid))
 
 
 def _run_norms(args, geom):
     grid = _coeffs(args)
-    results = {}
+    results, code = {}, EXIT_OK
     if grid.side == "hardy":
         table = leray.moment_table(geom, *_max_degrees(grid))
         results["hardy_norm_sq"] = transform.hardy_norm_sq(geom, grid, table)
         results["laplace_image_nu_norm_sq"] = (
             transform.laplace_image_nu_norm_sq(geom, grid, table))
+        code = _moments_code(table, grid)
     else:
         beta = grid if grid.side == "bergman" else transform.CoefficientGrid(
             "bergman", dict(grid.entries))
@@ -183,7 +192,7 @@ def _run_norms(args, geom):
                   "convention": rep.convention}
            for name, rep in results.items()}
     return (["norm", "value", "err_est", "convention", "log_value",
-             "rel_err"], rows, obj, EXIT_OK)
+             "rel_err"], rows, obj, code)
 
 
 def _run_compare_lemma(args, geom):

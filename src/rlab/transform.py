@@ -108,26 +108,37 @@ class NormReport:
     rel_err: float
 
 
-def _log_abs_sq(amp: complex) -> float:
-    return 2.0 * math.log(abs(amp)) if amp else -math.inf
+def _log_abs_sq(amps) -> np.ndarray:
+    """2 log |amp| for each amplitude, -inf for a zero."""
+    return np.array([2.0 * math.log(abs(v)) if v else -math.inf
+                     for v in amps])
 
 
-def _sum_report(log_terms: Dict[Tuple[int, int], float],
-                rel_errs: Dict[Tuple[int, int], float],
+def _sum_report(log_terms: np.ndarray, rel_errs: np.ndarray,
                 convention: str) -> NormReport:
-    """Reduce per-index log terms to a report.  err_est sums each term
-    times its relative error.  Sums stay in log space, so value and err_est
-    may read inf where log_value is still finite; rel_err comes from the
-    logs.  A sum with no error term has rel_err 0."""
+    """Reduce the log terms over a support to a report.  err_est sums each
+    term times its relative error.  Sums stay in log space, so value and
+    err_est may read inf where log_value is still finite; rel_err comes from
+    the logs.  A sum with no error term has rel_err 0."""
     from scipy.special import logsumexp
 
-    log_err = float(logsumexp([log_terms[key] + math.log(e)
-                               for key, e in rel_errs.items() if e > 0.0]))
-    logv = float(logsumexp(list(log_terms.values())))
+    log_err = float(logsumexp([t + math.log(e) for t, e in zip(
+        log_terms.tolist(), rel_errs.tolist()) if e > 0.0]))
+    logv = float(logsumexp(log_terms))
     with np.errstate(over="ignore"):
         rel_err = float(np.exp(log_err - logv)) if log_err > -math.inf else 0.0
         return NormReport(float(np.exp(logv)), logv, float(np.exp(log_err)),
                           convention, rel_err)
+
+
+def _table_index(table: MomentTable, keys):
+    """The degree pairs of keys as (m1, m2) index arrays into the table;
+    IndexOutOfTable, from table.log_I_at, at the first pair outside it."""
+    idx = np.array(list(keys)).reshape(-1, 2)
+    bad = (idx > (table.M1, table.M2)).any(axis=1)
+    if bad.any():
+        table.log_I_at(*idx[bad.argmax()].tolist())
+    return idx.astype(np.int64).T
 
 
 # ---------------------------------------------------------------------------
@@ -139,12 +150,9 @@ def hardy_norm_sq(geom: DomainGeometry, a: CoefficientGrid,
     """||f||^2 = (1/4) sum |a_{m1,m2}|^2 I(m1, m2) on the boundary measure."""
     if a.side != "hardy":
         raise DomainError("hardy_norm_sq expects a hardy-side grid")
-    terms, errs = {}, {}
-    for (m1, m2), amp in a.entries.items():
-        log_i = table.log_I_at(m1, m2)  # raises IndexOutOfTable
-        terms[(m1, m2)] = _log_abs_sq(amp) + log_i - _LOG4
-        errs[(m1, m2)] = float(table.err[m1, m2])
-    return _sum_report(terms, errs, "exact_parametrized")
+    m1, m2 = _table_index(table, a.entries)  # raises IndexOutOfTable
+    return _sum_report(_log_abs_sq(a.entries.values()) + table.log_I[m1, m2]
+                       - _LOG4, table.err[m1, m2], "exact_parametrized")
 
 
 def laplace_map(geom: DomainGeometry, a: CoefficientGrid,
@@ -154,14 +162,16 @@ def laplace_map(geom: DomainGeometry, a: CoefficientGrid,
     if a.side != "hardy":
         raise DomainError("laplace_map expects a hardy-side grid")
     return CoefficientGrid("laplace", {
-        key: amp.conjugate() * math.exp(_laplace_log_scale(table, *key))
-        for key, amp in a.entries.items()})
+        key: amp.conjugate() * math.exp(scale) for (key, amp), scale in zip(
+            a.entries.items(), _laplace_log_scales(table, a.entries).tolist())})
 
 
-def _laplace_log_scale(table: MomentTable, m1: int, m2: int) -> float:
-    """log of t / conj(a) in laplace_map: log(I(m1, m2) / (4 m1! m2!))."""
-    return (table.log_I_at(m1, m2) - _LOG4
-            - log_gamma(m1 + 1.0) - log_gamma(m2 + 1.0))
+def _laplace_log_scales(table: MomentTable, keys) -> np.ndarray:
+    """log of t / conj(a) in laplace_map, log(I(m1, m2) / (4 m1! m2!)), at
+    each key: one gather on table.log_I, one log_gamma over 0..max(M1, M2)."""
+    m1, m2 = _table_index(table, keys)
+    log_f = log_gamma(np.arange(max(table.M1, table.M2) + 1.0) + 1.0)
+    return table.log_I[m1, m2] - _LOG4 - log_f[m1] - log_f[m2]
 
 
 def invert_laplace(geom: DomainGeometry, t: CoefficientGrid,
@@ -170,8 +180,8 @@ def invert_laplace(geom: DomainGeometry, t: CoefficientGrid,
     if t.side != "laplace":
         raise DomainError("invert_laplace expects a laplace-side grid")
     return CoefficientGrid("hardy", {
-        key: amp.conjugate() * math.exp(-_laplace_log_scale(table, *key))
-        for key, amp in t.entries.items()})
+        key: amp.conjugate() * math.exp(-scale) for (key, amp), scale in zip(
+            t.entries.items(), _laplace_log_scales(table, t.entries).tolist())})
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +208,8 @@ def bergman_nu_norm_sq(geom: DomainGeometry, beta: CoefficientGrid,
         raise DomainError("bergman_nu_norm_sq expects a bergman-side grid")
     if convention not in ("exact_parametrized", "paper_equivalent"):
         raise DomainError(f"unknown convention {convention!r}")
-    return _nu_norm_report(dual or dual_complement(geom), {
-        key: _log_abs_sq(amp) for key, amp in beta.entries.items()},
-        convention)
+    return _nu_norm_report(dual or dual_complement(geom), dict(zip(
+        beta.entries, _log_abs_sq(beta.entries.values()).tolist())), convention)
 
 
 def laplace_image_nu_norm_sq(geom: DomainGeometry, a: CoefficientGrid,
@@ -210,9 +219,10 @@ def laplace_image_nu_norm_sq(geom: DomainGeometry, a: CoefficientGrid,
     a double near degree (100, 100), their logs do not."""
     if a.side != "hardy":
         raise DomainError("laplace_image_nu_norm_sq expects a hardy-side grid")
-    return _nu_norm_report(dual_complement(geom), {
-        key: _log_abs_sq(amp) + 2.0 * _laplace_log_scale(table, *key)
-        for key, amp in a.entries.items()}, "exact_parametrized")
+    return _nu_norm_report(dual_complement(geom), dict(zip(a.entries, (
+        _log_abs_sq(a.entries.values())
+        + 2.0 * _laplace_log_scales(table, a.entries)).tolist())),
+        "exact_parametrized")
 
 
 def _nu_norm_report(dual: DomainGeometry, log_abs_sq: dict,
@@ -224,19 +234,14 @@ def _nu_norm_report(dual: DomainGeometry, log_abs_sq: dict,
     # the paper's series uses the plain dual moment I*
     norm_factor = None if paper else (
         lambda lr1, lr2: 0.75 * np.logaddexp(2.0 * lr1, 2.0 * lr2))
-    logs7, logs6 = _log_moment_sums(
-        dual, *np.array(pairs, dtype=float).reshape(-1, 2).T, norm_factor)
-    terms, errs = {}, {}
-    for key, log_j, log_j6 in zip(pairs, logs7.tolist(), logs6.tolist()):
-        m = key[0] + key[1]
-        if paper:
-            log_radial = 2.0 * log_gamma(m + 2.0)
-        else:
-            log_radial = (log_gamma(2.0 * m + 3.5)
-                          - (2.0 * m + 3.5) * math.log(2.0) - _LOG4)
-        terms[key] = log_abs_sq[key] + log_radial + log_j
-        errs[key] = abs(log_j - log_j6)
-    return _sum_report(terms, errs, convention)
+    m1, m2 = np.array(pairs, dtype=float).reshape(-1, 2).T
+    logs7, logs6 = _log_moment_sums(dual, m1, m2, norm_factor)
+    m = m1 + m2
+    log_radial = (2.0 * log_gamma(m + 2.0) if paper else
+                  log_gamma(2.0 * m + 3.5) - (2.0 * m + 3.5) * math.log(2.0)
+                  - _LOG4)
+    return _sum_report(np.array([log_abs_sq[key] for key in pairs])
+                       + log_radial + logs7, np.abs(logs7 - logs6), convention)
 
 
 # ---------------------------------------------------------------------------
@@ -351,48 +356,49 @@ def bergman_omega_norm_sq(geom: DomainGeometry,
     By rotation invariance monomials are orthogonal and
 
         ||F||^2 = (1/4) sum |beta|^2
-                  int_0^inf int_0^1 r^{2M} r1*(t)^{2m1} r2*(t)^{2m2}
-                                    E(r, t)^{-1} r dt dr,
+                  int_0^1 r1*(t)^{2m1} r2*(t)^{2m2}
+                      int_0^inf r^{2M} E(r, t)^{-1} r dr dt,
 
     a 2-D quadrature.  The weight grows like e^{2r} r^{-3/2}, so each radial
     integrand behaves like r^{2M + 5/2} e^{-2r}; the r-range is truncated
-    where the log-integrand falls 40 nats below its peak.  With t at
-    tanh-sinh level 3 and s at level 4, err_est sums each term times its
-    gaps to the s-level-3 and t-level-2 sums (same terms).  It does not
-    cover the Gauss r-rule, the r truncation, or the cut of the power
-    series for E (see _log_exp_norms), whose tail is far below rounding.
+    where the log-integrand falls 40 nats below its peak.  The r-sum comes
+    first, over the distinct total degrees M of the support at once: one
+    log_matmul of w_r r^{2M+1} e^{-2r} with e^{2r} / E(r, t) at every t node
+    and both s-levels.  E grows like e^{2r}, so moving e^{-2r} across keeps
+    both factors near their peaks and no entry needs the term-by-term
+    fallback.  The t-sum of each pair follows.  With t at tanh-sinh level 3
+    and s at level 4, err_est sums each term times its gaps to the
+    s-level-3 and t-level-2 sums (same terms).  It does not cover the Gauss
+    r-rule, the r truncation, or the cut of the power series for E (see
+    _log_exp_norms), whose tail is far below rounding.
     """
-    from scipy.special import logsumexp
-
     if beta.side != "bergman":
         raise DomainError("bergman_omega_norm_sq expects a bergman-side grid")
     pairs = beta.support
     if not pairs:
-        return _sum_report({}, {}, "exact_parametrized")
+        return _sum_report(np.empty(0), np.empty(0), "exact_parametrized")
+    m1, m2 = np.array(pairs, dtype=float).T
+    ms, inv = np.unique(m1 + m2, return_inverse=True)
 
     k_t, x, xm, w = tanh_sinh_indexed(3)
     lr1t, lr2t = geom.log_r1_star_xy(x, xm), geom.log_r2_star_xy(x, xm)
-    logw_t = np.log(w)
 
-    peak = max(k[0] + k[1] for k in pairs) + 1.25
+    peak = ms[-1] + 1.25
     r_max = peak + 40.0 + 6.0 * math.sqrt(peak + 1.0)
     gx, gw = np.polynomial.legendre.leggauss(12)
     n_panels = int(math.ceil(r_max / max(2.0, math.sqrt(peak))))
     half = 0.5 * r_max / n_panels
     rs = ((2.0 * np.arange(n_panels) + 1.0)[:, None] + gx).ravel() * half
-    logw_r = np.log(np.tile(half * gw, n_panels))
+    logw_r = np.log(np.tile(half * gw, n_panels)) - 2.0 * rs
 
     log_e = _log_exp_norms(geom, rs, lr1t, lr2t, 4)   # s-levels 4 and 3
-    log_rs = np.log(rs)
-    terms, errs = {}, {}
-    for (m1, m2) in pairs:
-        m = m1 + m2
-        g = ((logw_r + (2.0 * m + 1.0) * log_rs)[:, None]
-             + (logw_t + 2.0 * m1 * lr1t + 2.0 * m2 * lr2t)[None, :]
-             - log_e)
-        fine, coarse = nested_log_sums(g, k_t)    # over t: (2, n_r) each
-        val, val_s3, val_t2 = logsumexp(
-            np.vstack((fine, coarse[:1])), axis=-1)
-        terms[(m1, m2)] = _log_abs_sq(beta.entries[(m1, m2)]) - _LOG4 + val
-        errs[(m1, m2)] = abs(val - val_s3) + abs(val - val_t2)
-    return _sum_report(terms, errs, "exact_parametrized")
+    g = log_matmul(logw_r + np.multiply.outer(2.0 * ms + 1.0, np.log(rs)),
+                   (2.0 * rs)[:, None] - log_e.swapaxes(0, 1).reshape(
+                       rs.size, -1)).reshape(-1, 2, x.size)
+    terms = g[inv] + (np.log(w) + np.multiply.outer(2.0 * m1, lr1t)
+                      + np.multiply.outer(2.0 * m2, lr2t))[:, None]
+    fine, coarse = nested_log_sums(terms, k_t)    # over t: (P, 2) each
+    val, val_s3, val_t2 = fine[:, 0], fine[:, 1], coarse[:, 0]
+    return _sum_report(
+        _log_abs_sq(beta.entries[key] for key in pairs) - _LOG4 + val,
+        np.abs(val - val_s3) + np.abs(val - val_t2), "exact_parametrized")

@@ -249,6 +249,27 @@ def test_laplace_image_nu_norm_keeps_its_log_past_underflow(capsys):
     assert math.isfinite(log_value) and -101.0 < log_value < -99.0
 
 
+# a 4-knot table whose moment (40, 33) does not converge (level gap 1.8e-7)
+STEEP = '{"kind":"table","s":[0,0.1,0.5,1],"p":[1.05,4,1.5,2]}'
+
+
+@pytest.mark.parametrize("verb", ["laplace", "norms"])
+@pytest.mark.parametrize("domain, key, want", [
+    (STEEP, (40, 33), 3), (STEEP, (1, 1), 0),
+    ('{"kind": "egg", "p": 3}', (40, 33), 0)])
+def test_hardy_side_verbs_exit_3_on_unconverged_moments(capsys, verb, domain,
+                                                        key, want):
+    coeffs = json.dumps({"side": "hardy", "entries": [
+        {"m1": 0, "m2": 0, "re": 1.0},
+        {"m1": key[0], "m2": key[1], "re": 1.0}]})
+    code, out, err = run(capsys, verb, "--domain", domain, "--coeffs", coeffs,
+                         "--format", "json")
+    assert code == want and err == ""
+    # the output is written either way
+    assert len(json.loads(out)["entries" if verb == "laplace" else
+                                "hardy_norm_sq"]) > 0
+
+
 def test_norms_bergman_side(capsys):
     coeffs = json.dumps({"side": "bergman",
                          "entries": [{"m1": 0, "m2": 0, "re": 1.0}]})

@@ -12,16 +12,17 @@ import math
 import numpy as np
 import pytest
 
+from rlab import transform
 from rlab.errors import DomainError, IndexOutOfTable
 from rlab.geometry import (domain_from_exponent, dual_complement, egg_profile,
                            expression_profile, tabulated_profile)
 from rlab.leray import _radial_log_nodes, moment_table
-from rlab.numerics import (bessel_i0_log, log_gamma, nested_log_sums,
-                           tanh_sinh_indexed)
+from rlab.numerics import (_FLOOR, bessel_i0_log, log_gamma, log_matmul,
+                           nested_log_sums, tanh_sinh_indexed)
 from rlab.transform import (CoefficientGrid, _log_exp_norms, _series_degree,
                             bergman_nu_norm_sq, bergman_omega_norm_sq,
                             exp_norm_sq, hardy_norm_sq, invert_laplace,
-                            laplace_map)
+                            laplace_image_nu_norm_sq, laplace_map)
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +106,61 @@ def test_laplace_round_trip(egg3):
     assert back.side == "hardy"
     for key, val in entries.items():
         assert back.entries[key] == pytest.approx(val, rel=1e-12)
+
+
+def test_laplace_map_matches_the_per_key_formula():
+    # t = conj(a) exp(log I - log 4 - log m1! - log m2!) key by key, with
+    # scalar log_gamma calls: the same bits from the vector gather
+    geom = domain_from_exponent(expression_profile(VARYING))
+    tab = moment_table(geom, 15, 15)
+    rng = np.random.default_rng(16)
+    entries = {(m1, m2): complex(rng.normal(), rng.normal())
+               for m1 in range(16) for m2 in range(16)}
+    entries[(3, 4)] = 0j
+    scale = {(m1, m2): tab.log_I_at(m1, m2) - math.log(4.0)
+             - log_gamma(m1 + 1.0) - log_gamma(m2 + 1.0) for m1, m2 in entries}
+    image = laplace_map(geom, _grid("hardy", entries), tab)
+    assert list(image.entries) == list(entries)
+    for key, amp in entries.items():
+        assert image.entries[key] == amp.conjugate() * math.exp(scale[key])
+    back = invert_laplace(geom, image, tab)
+    for key, amp in image.entries.items():
+        assert back.entries[key] == amp.conjugate() * math.exp(-scale[key])
+
+
+def test_one_log_gamma_call_per_map_inverse_and_nu_report(ball, monkeypatch):
+    calls = []
+
+    def counting(x):
+        calls.append(np.size(x))
+        return log_gamma(x)
+
+    monkeypatch.setattr(transform, "log_gamma", counting)
+    tab = moment_table(ball, 6, 6)
+    a = _grid("hardy", {(m1, m2): 1.0 + m1 - 0.5j * m2
+                        for m1 in range(7) for m2 in range(7)})
+    image = laplace_map(ball, a, tab)
+    invert_laplace(ball, image, tab)
+    assert calls == [7, 7]                    # log m! over 0..6, twice
+    beta = _grid("bergman", image.entries)
+    for convention in ("exact_parametrized", "paper_equivalent"):
+        del calls[:]
+        bergman_nu_norm_sq(ball, beta, convention)
+        assert calls == [49]
+    del calls[:]
+    laplace_image_nu_norm_sq(ball, a, tab)    # the scales, then the report
+    assert calls == [7, 49]
+
+
+@pytest.mark.parametrize("reader", [hardy_norm_sq, laplace_map,
+                                    invert_laplace, laplace_image_nu_norm_sq])
+@pytest.mark.parametrize("key", [(3, 0), (0, 3), (10 ** 30, 1)])
+def test_table_readers_reject_keys_outside_the_table(ball, reader, key):
+    side = "laplace" if reader is invert_laplace else "hardy"
+    grid = _grid(side, {(1, 1): 1.0, key: 2.0, (4, 4): 1.0})
+    match = rf"\({key[0]},{key[1]}\) outside"
+    with pytest.raises(IndexOutOfTable, match=match):
+        reader(ball, grid, moment_table(ball, 2, 2))
 
 
 def test_laplace_side_guards(ball):
@@ -347,6 +403,71 @@ def test_omega_error_estimate_is_honest(egg3, key):
     true_rel = abs(math.expm1(rep.log_value - EGG3_OMEGA_REF[key]))
     assert rep.err_est / rep.value >= true_rel
     assert rep.rel_err == pytest.approx(rep.err_est / rep.value, rel=1e-12)
+
+
+def _omega_t_first(geom, beta):
+    """(log value, rel_err) of the omega norm summed pair by pair, t first:
+    for each pair the t-sums at every r node, then the r-sum, on the
+    library's r-rule, t-level 3 and s-levels 4 and 3."""
+    from scipy.special import logsumexp
+
+    k_t, x, xm, w = tanh_sinh_indexed(3)
+    lr1t, lr2t = geom.log_r1_star_xy(x, xm), geom.log_r2_star_xy(x, xm)
+    peak = max(m1 + m2 for m1, m2 in beta.entries) + 1.25
+    r_max = peak + 40.0 + 6.0 * math.sqrt(peak + 1.0)
+    gx, gw = np.polynomial.legendre.leggauss(12)
+    n_panels = int(math.ceil(r_max / max(2.0, math.sqrt(peak))))
+    half = 0.5 * r_max / n_panels
+    rs = ((2.0 * np.arange(n_panels) + 1.0)[:, None] + gx).ravel() * half
+    logw_r = np.log(np.tile(half * gw, n_panels))
+    log_e = _log_exp_norms(geom, rs, lr1t, lr2t, 4)
+    terms, errs = [], []
+    for (m1, m2), amp in sorted(beta.entries.items()):
+        g = ((logw_r + (2.0 * (m1 + m2) + 1.0) * np.log(rs))[:, None]
+             + np.log(w) + 2.0 * m1 * lr1t + 2.0 * m2 * lr2t - log_e)
+        fine, coarse = nested_log_sums(g, k_t)
+        val, val_s3, val_t2 = logsumexp(np.vstack((fine, coarse[:1])), axis=-1)
+        terms.append(2.0 * math.log(abs(amp)) - math.log(4.0) + val)
+        errs.append(terms[-1] + math.log(abs(val - val_s3)
+                                         + abs(val - val_t2)))
+    log_value = float(logsumexp(terms))
+    return log_value, math.exp(float(logsumexp(errs)) - log_value)
+
+
+def _fallback_entries(log_a, log_b):
+    # the entries log_matmul sums again term by term
+    ca = np.nan_to_num(log_a.max(axis=1, keepdims=True), neginf=0.0)
+    cb = np.nan_to_num(log_b.max(axis=0, keepdims=True), neginf=0.0)
+    prod = np.einsum("ik,kj->ij", np.exp(log_a - ca), np.exp(log_b - cb))
+    return int(np.count_nonzero(~(prod >= _FLOOR)))
+
+
+def _omega_matches_t_first(geom, beta, monkeypatch):
+    fallbacks = []
+
+    def counting(log_a, log_b):
+        fallbacks.append(_fallback_entries(log_a, log_b))
+        return log_matmul(log_a, log_b)
+
+    monkeypatch.setattr(transform, "log_matmul", counting)
+    rep = bergman_omega_norm_sq(geom, beta)
+    assert fallbacks[-1] == 0    # the r-first product, the last one
+    log_value, rel_err = _omega_t_first(geom, beta)
+    assert rep.log_value == pytest.approx(log_value, rel=0, abs=1e-12)
+    assert rep.rel_err == pytest.approx(rel_err, rel=1e-6, abs=1e-12)
+
+
+@pytest.mark.parametrize("m", [15, 30, 60, 120])
+def test_omega_r_first_matches_t_first(kernel_domain, m, monkeypatch):
+    _omega_matches_t_first(kernel_domain,
+                           _grid("bergman", {(m, m): 1.0}), monkeypatch)
+
+
+def test_omega_r_first_matches_t_first_on_a_box(egg3, monkeypatch):
+    rng = np.random.default_rng(4)
+    _omega_matches_t_first(egg3, _grid("bergman", {
+        (m1, m2): complex(rng.normal(), rng.normal())
+        for m1 in range(4) for m2 in range(4)}), monkeypatch)
 
 
 def test_omega_error_estimate_is_measured(egg3):
