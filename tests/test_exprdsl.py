@@ -113,3 +113,43 @@ def test_repr_keeps_source():
 def test_linear_expression_matches_numpy(s, a, b):
     f = parse_expr(f"{a!r}*s+{b!r}")
     assert f(s) == pytest.approx(a * s + b, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("source,message,caret", [
+    ("", "empty expression", 0),
+    ("2 +", "unexpected end of expression", 3),
+    ("2 + * 3", "expected a value, got '*'", 4),
+    ("log 3", "expected '(' after log", 4),
+    ("log(3", "expected ')'", 5),
+    ("foo(s)", "unknown name 'foo'", 0),
+    ("2 @ 3", "unexpected character '@'", 2),
+    ("(2+3))", "unexpected token ')'", 5),
+])
+def test_parse_error_messages_and_carets(source, message, caret):
+    with pytest.raises(ParseError) as exc:
+        parse_expr(source)
+    assert exc.value.position == caret
+    assert str(exc.value) == f"{message}\n  {source}\n  {' ' * caret}^"
+
+
+_S = np.array([0.0, 1e-300, 0.3, 0.5, 1.0, 2.5])
+_C = np.float64
+
+
+@pytest.mark.parametrize("source,by_hand", [
+    ("-s^2", lambda s: -(s ** _C(2))),
+    ("2^-s^2", lambda s: _C(2) ** -(s ** _C(2))),
+    ("2^3^s", lambda s: _C(2) ** (_C(3) ** s)),
+    ("-s*2", lambda s: (-s) * _C(2)),
+    ("10-4-s", lambda s: (_C(10) - _C(4)) - s),
+    ("8/s/2", lambda s: (_C(8) / s) / _C(2)),
+    ("2*-s", lambda s: _C(2) * (-s)),
+    ("--s", lambda s: -(-s)),
+    ("2+3*s^2", lambda s: _C(2) + _C(3) * (s ** _C(2))),
+])
+def test_precedence_and_associativity_bit_for_bit(source, by_hand):
+    # each operator node is the numpy operation on its operands' values, so
+    # the result equals numpy written out by hand in every bit
+    with np.errstate(all="ignore"):
+        expected = by_hand(_S)
+    assert parse_expr(source)(_S).tobytes() == expected.tobytes()
