@@ -9,10 +9,17 @@ Grammar (infix, usual precedence, ^ is right associative):
     atom    := NUMBER | 's' | FUNC '(' expr ')' | '(' expr ')'
     FUNC    := 'log' | 'exp' | 'sqrt'
 
-The single free variable is the boundary parameter s.  Compiled expressions
-evaluate vectorized over numpy arrays; number literals stay float64
-scalars.  Syntax errors raise ParseError with a caret marking the offending
-position.
+parse_expr reads it by binding power (Pratt, POPL 1973): an operand goes to
+the neighbour that binds it harder, by the left power of the operator after
+it and the right power of the one before.  The (left, right) powers are
+
+    + - (1, 2)    * / (3, 4)    ^ (6, 5)    unary minus (-, 5)
+
+so -s^2 is -(s^2) and -s*2 is (-s)*2.  The single free variable is the
+boundary parameter s.  Compiled expressions evaluate vectorized over numpy
+arrays; number literals stay float64 scalars.  Syntax errors raise ParseError
+with a caret marking the offending position, and so does nesting past the
+recursion limit (about 900 parentheses): "expression nested too deeply".
 """
 
 from __future__ import annotations
@@ -40,27 +47,27 @@ _FUNCS: dict[str, Callable] = {
     "sqrt": np.sqrt,
 }
 
+_BINARY: dict[str, tuple] = {  # (left power, right power, node closure)
+    "+": (1, 2, lambda a, b: lambda s: a(s) + b(s)),
+    "-": (1, 2, lambda a, b: lambda s: a(s) - b(s)),
+    "*": (3, 4, lambda a, b: lambda s: a(s) * b(s)),
+    "/": (3, 4, lambda a, b: lambda s: a(s) / b(s)),
+    "^": (6, 5, lambda a, b: lambda s: a(s) ** b(s)),
+}
+_NEG, _CALL = 5, 7  # a FUNC's operand is its parenthesized group alone
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # num | name | op | end
-    text: str
-    pos: int
 
-
-def _tokenize(source: str) -> list[_Token]:
-    tokens = []
+def _tokenize(source: str):
+    """Yield (kind, text, position) tuples, kind num | name | op | end."""
     pos = 0
     while pos < len(source):
         m = _TOKEN_RE.match(source, pos)
         if m is None:
             raise ParseError(f"unexpected character {source[pos]!r}", source, pos)
-        kind = m.lastgroup
-        if kind != "ws":
-            tokens.append(_Token(kind, m.group(), pos))
+        if m.lastgroup != "ws":
+            yield m.lastgroup, m.group(), pos
         pos = m.end()
-    tokens.append(_Token("end", "", len(source)))
-    return tokens
+    yield "end", "", len(source)
 
 
 @dataclass(frozen=True)
@@ -81,100 +88,53 @@ class Expr:
         return f"Expr({self.source!r})"
 
 
-class _Parser:
-    def __init__(self, source: str):
-        self.source = source
-        self.tokens = _tokenize(source)
-        self.i = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def fail(self, message: str, tok: _Token):
-        raise ParseError(message, self.source, tok.pos)
-
-    def parse(self) -> Callable:
-        fn = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            self.fail(f"unexpected token {tok.text!r}", tok)
-        return fn
-
-    def expr(self) -> Callable:
-        fn = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            rhs = self.term()
-            lhs = fn
-            fn = (lambda s, a=lhs, b=rhs: a(s) + b(s)) if op == "+" \
-                else (lambda s, a=lhs, b=rhs: a(s) - b(s))
-        return fn
-
-    def term(self) -> Callable:
-        fn = self.unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            rhs = self.unary()
-            lhs = fn
-            fn = (lambda s, a=lhs, b=rhs: a(s) * b(s)) if op == "*" \
-                else (lambda s, a=lhs, b=rhs: a(s) / b(s))
-        return fn
-
-    def unary(self) -> Callable:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.advance()
-            inner = self.unary()
-            return lambda s, a=inner: -a(s)
-        return self.power()
-
-    def power(self) -> Callable:
-        base = self.atom()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "^":
-            self.advance()
-            expo = self.unary()  # right associative
-            return lambda s, a=base, b=expo: a(s) ** b(s)
-        return base
-
-    def atom(self) -> Callable:
-        tok = self.advance()
-        if tok.kind == "num":
-            val = np.float64(tok.text)  # numpy's inf, not ZeroDivisionError
-            return lambda s, v=val: v
-        if tok.kind == "name":
-            if tok.text == "s":
-                return lambda s: s
-            if tok.text in _FUNCS:
-                opener = self.peek()
-                if not (opener.kind == "op" and opener.text == "("):
-                    self.fail(f"expected '(' after {tok.text}", opener)
-                self.advance()
-                inner = self.expr()
-                closer = self.advance()
-                if not (closer.kind == "op" and closer.text == ")"):
-                    self.fail("expected ')'", closer)
-                f = _FUNCS[tok.text]
-                return lambda s, g=inner, f=f: f(g(s))
-            self.fail(f"unknown name {tok.text!r}", tok)
-        if tok.kind == "op" and tok.text == "(":
-            inner = self.expr()
-            closer = self.advance()
-            if not (closer.kind == "op" and closer.text == ")"):
-                self.fail("expected ')'", closer)
-            return inner
-        self.fail(f"expected a value, got {tok.text!r}" if tok.text
-                  else "unexpected end of expression", tok)
-
-
 def parse_expr(source: str) -> Expr:
     """Compile an expression string; raises ParseError on bad syntax."""
     if not source.strip():
         raise ParseError("empty expression", source, 0)
-    fn = _Parser(source).parse()
+    tokens = list(_tokenize(source))  # a bad character anywhere comes first
+    i = 0  # the next token
+
+    def parse(min_power):
+        # one value, then each operator whose left power reaches min_power
+        nonlocal i
+        kind, text, pos = tokens[i]
+        i += 1
+        if kind == "num":
+            fn = lambda s, v=np.float64(text): v  # inf, not ZeroDivisionError
+        elif text == "s":
+            fn = lambda s: s
+        elif text == "-":
+            inner = parse(_NEG)
+            fn = lambda s: -inner(s)
+        elif text == "(":
+            fn = parse(0)
+            if tokens[i][1] != ")":
+                raise ParseError("expected ')'", source, tokens[i][2])
+            i += 1
+        elif text in _FUNCS:
+            if tokens[i][1] != "(":
+                raise ParseError(f"expected '(' after {text}", source,
+                                 tokens[i][2])
+            inner, f = parse(_CALL), _FUNCS[text]
+            fn = lambda s: f(inner(s))
+        elif kind == "name":
+            raise ParseError(f"unknown name {text!r}", source, pos)
+        else:
+            raise ParseError(f"expected a value, got {text!r}" if text
+                             else "unexpected end of expression", source, pos)
+        while tokens[i][1] in _BINARY and _BINARY[tokens[i][1]][0] >= min_power:
+            _, right, node = _BINARY[tokens[i][1]]
+            i += 1
+            fn = node(fn, parse(right))
+        return fn
+
+    try:
+        fn = parse(0)
+    except RecursionError:  # the caret at the last token read
+        raise ParseError("expression nested too deeply", source,
+                         tokens[i - 1][2]) from None
+    kind, text, pos = tokens[i]
+    if kind != "end":
+        raise ParseError(f"unexpected token {text!r}", source, pos)
     return Expr(source, fn)

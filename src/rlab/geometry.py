@@ -387,15 +387,13 @@ class DomainGeometry:
 
     def log_r2_star(self, s):
         s = np.asarray(s, dtype=float)
-        with np.errstate(divide="ignore"):
-            return _log_over(np.log1p(-s), self.log_r2(s))
+        return _log_over(_log(1.0 - s), self.log_r2(s))
 
     def log_star_radii(self, s: float) -> tuple:
         """(log r1*(s), log r2*(s)) from one log_radii call, as floats."""
         lr1, lr2 = self.log_radii(s)
-        with np.errstate(divide="ignore"):
-            return (float(_log_over(np.log(s), lr1)),
-                    float(_log_over(np.log1p(-s), lr2)))
+        return (float(_log_over(_log(s), lr1)),
+                float(_log_over(_log(1.0 - s), lr2)))
 
     def r1_star(self, s):
         return np.exp(self.log_r1_star(s))

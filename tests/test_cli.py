@@ -77,6 +77,15 @@ def test_non_numeric_domain_field(capsys, domain):
     assert _one_line_error(err)
 
 
+def test_deeply_nested_expression_is_a_usage_error(capsys):
+    nested = "(" * 5000 + "2" + ")" * 5000
+    code, _out, err = run(capsys, "describe", "--domain", json.dumps(
+        {"kind": "expr", "p_check": nested}))
+    assert code == 1
+    assert err.startswith("error: expression nested too deeply\n")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("s, p", [
     ("[0, NaN, 1]", "[2, 2, 2]"),
     ("[0, 0.5, Infinity]", "[2, 2, 2]"),

@@ -153,3 +153,15 @@ def test_precedence_and_associativity_bit_for_bit(source, by_hand):
     with np.errstate(all="ignore"):
         expected = by_hand(_S)
     assert parse_expr(source)(_S).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("source", [
+    "(" * 5000 + "2" + ")" * 5000,
+    "-" * 5000 + "s",
+    "2" + "^1" * 5000,
+], ids=["parentheses", "unary-minus", "power-chain"])
+def test_deep_nesting_is_a_parse_error(source):
+    with pytest.raises(ParseError) as exc:
+        parse_expr(source)
+    assert str(exc.value).startswith("expression nested too deeply\n")
+    assert 0 < exc.value.position < len(source)

@@ -455,6 +455,23 @@ def test_dual_radii_vanish_at_the_ends(spec):
     assert np.all(np.isfinite([lr1[1], lr2[0]]))
 
 
+@pytest.mark.parametrize("spec", [{"kind": "egg", "p": 3.0},
+                                  {"kind": "expr", "p_check": EX_PROFILE}])
+def test_star_radii_are_the_dual_radii_bit_for_bit(spec):
+    # both take r2* from the complement 1 - s that the radii are computed
+    # from, so a star accessor and the dual's own radius agree in every bit
+    geom = domain_from_spec(spec)
+    dual = dual_complement(geom)
+    s = np.concatenate(([0.0, 1.0], np.linspace(1e-12, 1.0 - 1e-12, 400)))
+    star = (geom.log_r1_star(s), geom.log_r2_star(s))
+    for got in ((dual.log_r1(s), dual.log_r2(s)), dual.log_radii(s)):
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in star]
+    for x in s[::8].tolist():
+        pair = (geom.log_r1_star(x), geom.log_r2_star(x))
+        assert geom.log_star_radii(x) == dual.log_radii(x) == pair
+        assert (dual.log_r1(x), dual.log_r2(x)) == pair
+
+
 def test_dual_egg_conjugate_exponent():
     geom = domain_from_exponent(egg_profile(3.0))
     dual = dual_complement(geom)
