@@ -5,7 +5,9 @@ compare-lemma, weight-equiv, counterexample.
 
 Exit codes: 0 success, 1 usage error, 2 domain hypothesis not met,
 3 numeric non-convergence (for laplace and hardy-side norms: a moment that
-an entry reads did not converge).
+an entry reads did not converge).  leray-grid, laplace and hardy-side norms
+still write their output on exit 3, and name the first unconverged entry and
+its level gap on stderr.
 """
 
 from __future__ import annotations
@@ -122,8 +124,8 @@ def _run_leray_grid(args, geom):
     header = ["m1", "m2", "log_norm_sq", "err_est"]
     obj = ({"M": args.max, "entries": [dict(zip(header, r)) for r in rows]}
            if args.format == "json" else None)  # CSV needs no JSON entries
-    code = EXIT_OK if bool(grid.converged.all()) else EXIT_NONCONVERGENCE
-    return header, rows, obj, code
+    bad = map(tuple, np.argwhere(~grid.converged))
+    return header, rows, obj, _converged_code(grid, bad)
 
 
 def _run_leray_rays(args, geom):
@@ -149,10 +151,16 @@ def _run_leray_rays(args, geom):
             rows, obj, code)
 
 
-def _moments_code(table, grid):
-    """Exit 3 when a moment the grid's entries read did not converge."""
-    return (EXIT_OK if all(table.converged[key] for key in grid.entries)
-            else EXIT_NONCONVERGENCE)
+def _converged_code(tab, keys):
+    """Exit 3 when an entry of tab (a moment table or norm grid) at one of
+    the degree pairs keys did not converge, naming the first such entry and
+    its level gap on stderr; else exit 0."""
+    for m1, m2 in keys:
+        if not tab.converged[m1, m2]:
+            sys.stderr.write(f"not converged: entry ({m1}, {m2}), "
+                             f"level gap {tab.err[m1, m2]:.2g}\n")
+            return EXIT_NONCONVERGENCE
+    return EXIT_OK
 
 
 def _run_laplace(args, geom):
@@ -167,7 +175,7 @@ def _run_laplace(args, geom):
         e["log_abs"] = log_abs[(e["m1"], e["m2"])]
     header = ["m1", "m2", "re", "im", "log_abs"]
     return (header, [tuple(e[h] for h in header) for e in obj["entries"]],
-            obj, _moments_code(table, grid))
+            obj, _converged_code(table, grid.entries))
 
 
 def _run_norms(args, geom):
@@ -178,7 +186,7 @@ def _run_norms(args, geom):
         results["hardy_norm_sq"] = transform.hardy_norm_sq(geom, grid, table)
         results["laplace_image_nu_norm_sq"] = (
             transform.laplace_image_nu_norm_sq(geom, grid, table))
-        code = _moments_code(table, grid)
+        code = _converged_code(table, grid.entries)
     else:
         beta = grid if grid.side == "bergman" else transform.CoefficientGrid(
             "bergman", dict(grid.entries))

@@ -269,7 +269,7 @@ def l1ball_counterexample(K_max: int = 10_000) -> CounterexampleReport:
                           log_b_sq - log_pow4 + lg_4k25,
                           log_a_sq + log_moment - 2.0 * math.log(4.0)))
     # top-decade slopes in closed form; einsum, not @, keeps the sums in
-    # this thread (no BLAS)
+    # this thread, and the BLAS thread numpy started stays idle
     lo = K_max // 10
     x, y = log_k[lo:] - log_k[lo:].mean(), log_terms[:, lo:]
     slopes = (np.einsum("ij,j->i", y - y.mean(axis=1, keepdims=True), x)

@@ -18,8 +18,11 @@ it and the right power of the one before.  The (left, right) powers are
 so -s^2 is -(s^2) and -s*2 is (-s)*2.  The single free variable is the
 boundary parameter s.  Compiled expressions evaluate vectorized over numpy
 arrays; number literals stay float64 scalars.  Syntax errors raise ParseError
-with a caret marking the offending position, and so does nesting past the
-recursion limit (about 900 parentheses): "expression nested too deeply".
+with a caret marking the offending position.  So does nesting that parsing
+or evaluation cannot afford, "expression nested too deeply": about 900
+parentheses exhaust the parser's recursion, and evaluation recurses once per
+level of the closure tree, so a tree deeper than _MAX_DEPTH (a chain of 500
+operators, say) is refused with the caret at the operator that crosses it.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ _BINARY: dict[str, tuple] = {  # (left power, right power, node closure)
     "^": (6, 5, lambda a, b: lambda s: a(s) ** b(s)),
 }
 _NEG, _CALL = 5, 7  # a FUNC's operand is its parenthesized group alone
+_MAX_DEPTH = 500  # closure levels; leaves the caller half the recursion limit
 
 
 def _tokenize(source: str):
@@ -96,19 +100,21 @@ def parse_expr(source: str) -> Expr:
     i = 0  # the next token
 
     def parse(min_power):
-        # one value, then each operator whose left power reaches min_power
+        # one value, then each operator whose left power reaches min_power;
+        # returns its closure and the closure's depth (1 for a leaf)
         nonlocal i
         kind, text, pos = tokens[i]
         i += 1
+        depth = 1
         if kind == "num":
             fn = lambda s, v=np.float64(text): v  # inf, not ZeroDivisionError
         elif text == "s":
             fn = lambda s: s
         elif text == "-":
-            inner = parse(_NEG)
-            fn = lambda s: -inner(s)
+            inner, depth = parse(_NEG)
+            fn, depth = lambda s: -inner(s), deeper(depth, pos)
         elif text == "(":
-            fn = parse(0)
+            fn, depth = parse(0)
             if tokens[i][1] != ")":
                 raise ParseError("expected ')'", source, tokens[i][2])
             i += 1
@@ -116,8 +122,8 @@ def parse_expr(source: str) -> Expr:
             if tokens[i][1] != "(":
                 raise ParseError(f"expected '(' after {text}", source,
                                  tokens[i][2])
-            inner, f = parse(_CALL), _FUNCS[text]
-            fn = lambda s: f(inner(s))
+            (inner, depth), f = parse(_CALL), _FUNCS[text]
+            fn, depth = lambda s: f(inner(s)), deeper(depth, pos)
         elif kind == "name":
             raise ParseError(f"unknown name {text!r}", source, pos)
         else:
@@ -125,12 +131,20 @@ def parse_expr(source: str) -> Expr:
                              else "unexpected end of expression", source, pos)
         while tokens[i][1] in _BINARY and _BINARY[tokens[i][1]][0] >= min_power:
             _, right, node = _BINARY[tokens[i][1]]
+            op = tokens[i][2]
             i += 1
-            fn = node(fn, parse(right))
-        return fn
+            rhs, rhs_depth = parse(right)
+            fn, depth = node(fn, rhs), deeper(max(depth, rhs_depth), op)
+        return fn, depth
+
+    def deeper(depth, pos):
+        # the depth of a node over a subtree of this depth, if affordable
+        if depth >= _MAX_DEPTH:
+            raise ParseError("expression nested too deeply", source, pos)
+        return depth + 1
 
     try:
-        fn = parse(0)
+        fn, _depth = parse(0)
     except RecursionError:  # the caret at the last token read
         raise ParseError("expression nested too deeply", source,
                          tokens[i - 1][2]) from None

@@ -62,18 +62,18 @@ def _log_moment_sums(geom: DomainGeometry, m1, m2, log_weight=None,
     over the distinct degrees, log_matmul(A, B) on the even-k nodes (weights
     doubled) is the coarse level; its logaddexp with the odd-k one the fine.
     """
-    m1, m2 = np.broadcast_arrays(np.asarray(m1, float), np.asarray(m2, float))
+    m1, m2 = np.asarray(m1, float), np.asarray(m2, float)
     logw, lr1, lr2, k = _radial_log_nodes(geom, level)
     log_g = logw if log_weight is None else logw + log_weight(lr1, lr2)
-    u1, inv1 = np.unique(m1.ravel(), return_inverse=True)
-    u2, inv2 = np.unique(m2.ravel(), return_inverse=True)
+    u1, inv1 = np.unique(m1, return_inverse=True)
+    u2, inv2 = np.unique(m2, return_inverse=True)
     even_k = k % 2 == 0
     even, odd = (log_matmul(np.multiply.outer(2.0 * u1, lr1[s]),
                             np.multiply.outer(lr2[s], 2.0 * u2)
                             + log_g[s, None])
                  for s in (even_k, ~even_k))
     sums = np.stack((np.logaddexp(even, odd), even + math.log(2.0)))
-    return sums[:, inv1, inv2].reshape((2,) + m1.shape)
+    return sums[:, inv1.reshape(m1.shape), inv2.reshape(m2.shape)]
 
 
 def _log_gamma_of_sums(n, p):

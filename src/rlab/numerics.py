@@ -7,7 +7,10 @@ scipy.special is imported inside the functions that call it, at their first
 call, so importing the package loads numpy but no scipy; neither does building
 any geometry or its dual, and no verb on a table loads scipy's interpolate.
 Everything here is pure and reentrant.  No library product goes through BLAS
-(einsum, never @), so no BLAS thread starts and CPU time tracks wall time.
+(einsum, never @): OpenBLAS starts its worker thread when numpy is imported,
+but the thread stays idle, and CPU time tracks wall time.  log_matmul drops
+every scaled factor below e^-700 before its einsum, so it never multiplies a
+subnormal factor; an entry of n_k terms moves by at most n_k 1e-24 relative.
 Every integral over the boundary parameter elsewhere in the library is one
 sum over the nodes of a tanh-sinh level, with moment-type integrands
 evaluated as exp(sum of m_i * log r_i) so that degrees up to a few hundred
@@ -102,6 +105,7 @@ def nested_log_sums(log_terms: np.ndarray, k: np.ndarray):
 # ---------------------------------------------------------------------------
 
 _FLOOR = 1e-280  # smallest scaled sum taken from the product
+_CUT = -700.0  # scaled log below which a factor is dropped, a term clipped
 
 
 def log_matmul(log_a: np.ndarray, log_b: np.ndarray) -> np.ndarray:
@@ -109,11 +113,19 @@ def log_matmul(log_a: np.ndarray, log_b: np.ndarray) -> np.ndarray:
     (in the calling thread, not BLAS) with rows and columns scaled by their
     maxima.  The terms are positive, so an entry is accurate unless its
     scaled sum is below _FLOOR (or NaN): there the scales missed the terms'
-    peak, and the entry is summed again term by term."""
+    peak, and the entry is summed again term by term.
+
+    Scaled factors below e^-700 (_CUT) are set to 0 before the einsum, so
+    neither exp nor the einsum meets a subnormal factor.  Every factor is
+    at most 1, so an entry loses at most n_k e^-700 < n_k 1e-304 of its
+    scaled sum, which is at least _FLOOR: n_k 1e-24 relative, far below
+    rounding.  The term-by-term sums clip at the same _CUT."""
     # a row or column with no terms (all -inf) takes the scale 0
     ca = np.nan_to_num(log_a.max(axis=1, keepdims=True), neginf=0.0)
     cb = np.nan_to_num(log_b.max(axis=0, keepdims=True), neginf=0.0)
     a, b = log_a - ca, log_b - cb
+    np.putmask(a, a < _CUT, -np.inf)  # exp gives 0: see the docstring
+    np.putmask(b, b < _CUT, -np.inf)
     prod = np.einsum("ik,kj->ij", np.exp(a, out=a), np.exp(b, out=b))
     i, j = np.nonzero(~(prod >= _FLOOR))
     chunk = max(1, (1 << 16) // log_a.shape[1])  # (chunk, n_k) terms at once
@@ -127,7 +139,7 @@ def log_matmul(log_a: np.ndarray, log_b: np.ndarray) -> np.ndarray:
             terms -= mx
             # exp is slow where it underflows, and a term 700 nats below
             # the peak adds nothing; -inf (no term) stays
-            np.maximum(terms, -700.0, out=terms, where=terms > -np.inf)
+            np.maximum(terms, _CUT, out=terms, where=terms > -np.inf)
             np.exp(terms, out=terms)
             out[ii, jj] = np.log(terms.sum(axis=1)) + mx[:, 0]
     return out

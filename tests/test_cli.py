@@ -86,6 +86,19 @@ def test_deeply_nested_expression_is_a_usage_error(capsys):
     assert "Traceback" not in err
 
 
+def test_long_operator_chain_is_a_usage_error(capsys):
+    # 3,000 terms would evaluate as closures 3,000 deep: refused when
+    # parsed, with the caret under the 500th '+'
+    source = "2+0*(" + "+".join(["s"] * 3000) + ")"
+    code, _out, err = run(capsys, "describe", "--domain", json.dumps(
+        {"kind": "expr", "p_check": source}))
+    assert code == 1
+    head, src_line, caret_line = err.splitlines()
+    assert head == "error: expression nested too deeply"
+    assert src_line == "  " + source
+    assert caret_line == " " * (2 + 5 + 999) + "^"
+
+
 @pytest.mark.parametrize("s, p", [
     ("[0, NaN, 1]", "[2, 2, 2]"),
     ("[0, 0.5, Infinity]", "[2, 2, 2]"),
@@ -273,10 +286,21 @@ def test_hardy_side_verbs_exit_3_on_unconverged_moments(capsys, verb, domain,
         {"m1": key[0], "m2": key[1], "re": 1.0}]})
     code, out, err = run(capsys, verb, "--domain", domain, "--coeffs", coeffs,
                          "--format", "json")
-    assert code == want and err == ""
+    assert code == want
+    # exit 3 names the first unconverged entry and its level gap
+    assert err == ("not converged: entry (40, 33), level gap 1.8e-07\n"
+                   if want == 3 else "")
     # the output is written either way
     assert len(json.loads(out)["entries" if verb == "laplace" else
                                 "hardy_norm_sq"]) > 0
+
+
+def test_leray_grid_exit_3_names_the_first_unconverged_entry(capsys):
+    code, out, err = run(capsys, "leray-grid", "--domain", STEEP,
+                         "--max", "40")
+    assert code == 3
+    assert err == "not converged: entry (15, 22), level gap 1.8e-07\n"
+    assert len(out.splitlines()) == 1 + 41 * 41  # the grid is written
 
 
 def test_norms_bergman_side(capsys):

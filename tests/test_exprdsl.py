@@ -165,3 +165,34 @@ def test_deep_nesting_is_a_parse_error(source):
         parse_expr(source)
     assert str(exc.value).startswith("expression nested too deeply\n")
     assert 0 < exc.value.position < len(source)
+
+
+def _chain(n):
+    return "+".join(["s"] * (n + 1))  # n operators, a closure tree n + 1 deep
+
+
+@pytest.mark.parametrize("source, caret", [
+    (_chain(3000), 2 * 500 - 1),                 # the 500th '+'
+    ("2+0*(" + _chain(3000) + ")", 5 + 2 * 500 - 1),
+    ("-" * 600 + "s", 100),       # the minus sign 500 levels above s
+    ("s" + "^s" * 600, 2 * 100 + 1),   # right associative: the 101st '^'
+], ids=["plus-chain", "inside-parentheses", "unary-minus", "power-chain"])
+def test_too_deep_a_closure_tree_is_refused_at_its_operator(source, caret):
+    # evaluation recurses once per closure level, so a tree deeper than
+    # evaluation can afford is refused when parsed, at the operator whose
+    # node would cross the limit, not with a RecursionError when evaluated
+    with pytest.raises(ParseError) as exc:
+        parse_expr(source)
+    assert str(exc.value).startswith("expression nested too deeply\n")
+    assert exc.value.position == caret
+
+
+def test_deepest_accepted_tree_keeps_its_bits():
+    # 499 operators make a tree 500 deep, the deepest one accepted
+    s = np.linspace(0.05, 0.95, 7)
+    expected = s.copy()
+    for _ in range(499):
+        expected = expected + s
+    assert parse_expr(_chain(499))(s).tobytes() == expected.tobytes()
+    with pytest.raises(ParseError):
+        parse_expr(_chain(500))

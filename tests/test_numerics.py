@@ -211,6 +211,43 @@ def test_log_matmul_falls_back_below_the_floor():
     assert got[2, 2] == pytest.approx(peak22, abs=1e-12)
 
 
+def test_log_matmul_einsum_sees_no_subnormal_factor(monkeypatch):
+    # operands spanning thousands of nats: their scaled exponentials would
+    # hold subnormal numbers, but every factor reaching the einsum is 0 or
+    # a normal number
+    einsum, factors = np.einsum, []
+
+    def spy(subscripts, *operands, **kwargs):
+        factors.extend(np.array(op) for op in operands)
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", spy)
+    rng = np.random.default_rng(6)
+    for log_a, log_b in ((rng.normal(scale=1000.0, size=(12, 80)),
+                          rng.normal(scale=1000.0, size=(80, 7))),
+                         _peaks_far_below_the_scales()):
+        log_matmul(log_a, log_b)
+    assert len(factors) == 4
+    for f in factors:
+        assert np.all((f == 0.0) | (f >= np.finfo(float).tiny))
+        assert np.any((f > 0.0) & (f < 1.0))
+
+
+def test_log_matmul_entry_above_the_floor_with_dropped_factors():
+    # entry (0, 0) has its scaled sum e^-644 = 1.9e-280, just above the
+    # floor, so the einsum gives it; its row and column also hold factors
+    # e^-750 .. e^-1000, which the product drops
+    log_a = np.array([[0.0, -322.0, -750.0, -1000.0, -800.0],
+                      [-5.0, -2.0, 0.0, -3.0, -1.0]])
+    log_b = np.array([[-900.0, 0.0], [-322.0, -1.0], [0.0, -2.0],
+                      [-720.0, -3.0], [-710.0, -4.0]])
+    scaled = (log_a[0] + log_b[:, 0]).max() - log_a[0].max() - log_b[:, 0].max()
+    assert math.log(1e-280) < scaled < math.log(1e-280) + 1.0
+    got, want = log_matmul(log_a, log_b), _brute_log_matmul(log_a, log_b)
+    assert np.max(np.abs(got - want)) < 1e-13
+    assert got[0, 0] == pytest.approx(-644.0, abs=1e-13)
+
+
 def test_log_matmul_zero_columns():
     log_a, log_b = _random_operands(4)
     got = log_matmul(log_a, log_b[:, :0])
