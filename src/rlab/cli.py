@@ -13,6 +13,7 @@ its level gap on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -93,6 +94,15 @@ def _max_degrees(grid: transform.CoefficientGrid):
     return [max((k[i] for k in grid.entries), default=0) for i in (0, 1)]
 
 
+def _record(rep) -> dict:
+    """A library report's fields as a JSON object, nested reports included;
+    the verdict field `passed` is written as `pass`."""
+    obj = dataclasses.asdict(rep)
+    if "passed" in obj:
+        obj["pass"] = obj.pop("passed")
+    return obj
+
+
 # ---------------------------------------------------------------------------
 # verb implementations: each takes (args, geom) and returns
 # (csv header, csv rows, json object, exit code); main writes the output
@@ -137,18 +147,10 @@ def _run_leray_rays(args, geom):
             rows.append((d.x, n, v, d.extrapolated,
                          d.predicted if d.predicted is not None else math.nan,
                          d.rel_dev if d.rel_dev is not None else math.nan))
-    obj = {"verdict": rep.verdict, "evidence": rep.evidence,
-           "sup_small": rep.sup_small, "sup_full": rep.sup_full,
-           "argmax": list(rep.argmax), "growth_ratio": rep.growth_ratio,
-           "rays": [{"x": d.x, "degrees": list(d.degrees),
-                     "values": list(d.values),
-                     "extrapolated": d.extrapolated,
-                     "predicted": d.predicted, "rel_dev": d.rel_dev,
-                     "converged": d.converged} for d in rep.rays]}
     # an inconclusive verdict means the numeric evidence did not settle
     code = EXIT_NONCONVERGENCE if rep.verdict == "inconclusive" else EXIT_OK
     return (["x", "n", "norm_sq", "extrapolated", "predicted", "rel_dev"],
-            rows, obj, code)
+            rows, _record(rep), code)
 
 
 def _converged_code(tab, keys):
@@ -195,21 +197,14 @@ def _run_norms(args, geom):
     # value and err_est may overflow; log_value and rel_err do not
     rows = [(name, rep.value, rep.err_est, rep.convention, rep.log_value,
              rep.rel_err) for name, rep in results.items()]
-    obj = {name: {"value": rep.value, "log_value": rep.log_value,
-                  "err_est": rep.err_est, "rel_err": rep.rel_err,
-                  "convention": rep.convention}
-           for name, rep in results.items()}
+    obj = {name: _record(rep) for name, rep in results.items()}
     return (["norm", "value", "err_est", "convention", "log_value",
              "rel_err"], rows, obj, code)
 
 
 def _run_compare_lemma(args, geom):
     rep = diagnostics.verify_comparison_lemma(geom, args.samples, args.seed)
-    obj = {"grid_size": rep.grid_size, "empirical_min": rep.empirical_min,
-           "empirical_max": rep.empirical_max, "theory_C1": rep.theory_C1,
-           "theory_C2": rep.theory_C2, "p_l": rep.p_l, "p_g": rep.p_g,
-           "violations": rep.violations, "pass": rep.passed,
-           "seed": rep.seed}
+    obj = _record(rep)
     code = EXIT_OK if rep.passed else EXIT_HYPOTHESIS
     return ["field", "value"], sorted(obj.items()), obj, code
 
@@ -217,9 +212,7 @@ def _run_compare_lemma(args, geom):
 def _run_weight_equiv(args, geom):
     ts = tuple(np.linspace(0.0, 1.0, args.samples + 2)[1:-1])
     rep = diagnostics.verify_weight_equivalence(geom, t_samples=ts)
-    obj = {"r_values": list(rep.r_values), "t_values": list(rep.t_values),
-           "rho_min": rep.rho_min, "rho_max": rep.rho_max,
-           "ratio": rep.ratio, "factor": rep.factor, "pass": rep.passed}
+    obj = _record(rep)
     rows = [(k, obj[k]) for k in ("rho_min", "rho_max", "ratio", "pass")]
     code = EXIT_OK if rep.passed else EXIT_HYPOTHESIS
     return ["field", "value"], rows, obj, code

@@ -79,9 +79,11 @@ class ComparisonReport:
     seed: int
 
 
+COMPARISON_SLACK = 1e-9  # a ratio this far outside the bracket is a violation
+
+
 def verify_comparison_lemma(geom: DomainGeometry, n_samples: int = 100_000,
-                            seed: int = 0,
-                            slack: float = 1e-9) -> ComparisonReport:
+                            seed: int = 0) -> ComparisonReport:
     """Sample the ratio (1 - F_domain) / (1 - F_ball) and check containment.
 
     The theoretical bracket for the ratio is
@@ -129,8 +131,8 @@ def verify_comparison_lemma(geom: DomainGeometry, n_samples: int = 100_000,
     ratio = one_minus_fo[keep] / one_minus_fb[keep]
 
     emp_min, emp_max = float(ratio.min()), float(ratio.max())
-    violations = int(np.sum(ratio < c_low - slack)
-                     + np.sum(ratio > c_high + slack))
+    violations = int(np.sum(ratio < c_low - COMPARISON_SLACK)
+                     + np.sum(ratio > c_high + COMPARISON_SLACK))
     passed = violations == 0
     return ComparisonReport(int(s.size), emp_min, emp_max, c_low, c_high,
                             p_l, p_g, violations, passed, seed)
@@ -152,28 +154,23 @@ class WeightEquivalenceReport:
 
 
 WEIGHT_FACTOR = 1.5  # the spread max/min that the weight check allows
+WEIGHT_R_RANGE = (2.0, 50.0)  # r is sampled geometrically over this range
 
 
 def verify_weight_equivalence(geom: DomainGeometry,
-                              r_range: tuple = (2.0, 50.0),
                               t_samples: Sequence[float] = (0.1, 0.3, 0.5, 0.7, 0.9)
                               ) -> WeightEquivalenceReport:
     """Stability of rho(r, t) = e^{-2r} (r ||(r1*, r2*)(t)||)^{3/2} E(r, t).
 
     E is the squared boundary norm of the exponential (exp_norm_sq).  The
-    equivalence is asserted only away from the origin, so r below 1 is
-    rejected, and at interior t only.  passed means max/min < WEIGHT_FACTOR
-    across the sampled grid.
+    equivalence is asserted only away from the origin, at 12 r values over
+    WEIGHT_R_RANGE, and at interior t only.  passed means max/min <
+    WEIGHT_FACTOR across the sampled grid.
     """
-    r_lo, r_hi = float(r_range[0]), float(r_range[1])
-    if not r_lo >= 1.0:
-        raise DomainError("weight equivalence is asserted for r >= 1 only")
-    if not r_lo < r_hi < math.inf:
-        raise DomainError("the r range must be finite and non-empty")
     ts = np.asarray(t_samples, dtype=float)
     if ts.ndim != 1 or ts.size == 0 or not np.all((ts > 0.0) & (ts < 1.0)):
         raise DomainError("t samples must be a non-empty list inside (0, 1)")
-    rs = np.geomspace(r_lo, r_hi, 12)
+    rs = np.geomspace(*WEIGHT_R_RANGE, 12)
     lr1t, lr2t = geom.log_r1_star(ts), geom.log_r2_star(ts)
     log_e = _log_exp_norms(geom, rs, lr1t, lr2t, 6)[0]
     log_z = 0.5 * np.logaddexp(2.0 * lr1t, 2.0 * lr2t)
@@ -209,7 +206,8 @@ class CounterexampleReport:
     inclusions: tuple
 
     def as_dict(self, thin: int = 1) -> dict:
-        idx = np.arange(0, self.K_max, thin)
+        # every thin-th k counted back from K_max, so the last row is K_max
+        idx = np.arange(self.K_max - 1, -1, -thin)[::-1]
         return {
             "K_max": self.K_max,
             "k": (idx + 1).tolist(),
@@ -220,6 +218,7 @@ class CounterexampleReport:
                 self.bergman_nu_G_partial_sums[idx].tolist(),
             "bergman_omega_G_partial_sums":
                 self.bergman_omega_G_partial_sums[idx].tolist(),
+            "hardy_k_times_term": self.hardy_k_times_term[idx].tolist(),
             "tail_law_estimates": self.tail_law_estimates,
             "inclusions": list(self.inclusions),
         }

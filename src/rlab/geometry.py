@@ -457,7 +457,7 @@ class DomainGeometry:
             "p_limits": {k: ("divergent" if v == math.inf else v)
                          for k, v in p_limits.items()},
             **self._estimate_membership(p_limits),
-            "classification": classify_boundary(self),
+            "classification": _classify(self, p_limits),
         }
 
 
@@ -522,8 +522,11 @@ def classify_boundary(geom: DomainGeometry) -> dict:
     the boundary cannot be twice differentiable there.  Anything else is
     reported inconclusive together with the raw limit estimate.
     """
+    return _classify(geom, geom._estimate_p_limits())
+
+
+def _classify(geom: DomainGeometry, p_limits: dict) -> dict:
     out = {}
-    p_limits = geom._estimate_p_limits()
     for axis, key in (("axis0", "s1"), ("axis1", "s0")):
         # axis0 is the point where z2 = 0 (s -> 1); axis1 where z1 = 0
         lim = p_limits[key]

@@ -225,7 +225,6 @@ class RayDiagnostic:
 
 @dataclass(frozen=True)
 class BoundednessReport:
-    M: int
     sup_small: float
     sup_full: float
     argmax: tuple
@@ -288,7 +287,7 @@ def boundedness_report(geom: DomainGeometry, M: int,
         verdict = "inconclusive"
         evidence = (f"sup growth {growth:.3g}, ray agreement "
                     f"{[None if d.rel_dev is None else round(d.rel_dev, 4) for d in diagnostics]}")
-    return BoundednessReport(M, sup_small, sup_full, argmax, growth,
+    return BoundednessReport(sup_small, sup_full, argmax, growth,
                              tuple(diagnostics), verdict, evidence)
 
 

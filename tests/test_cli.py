@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from rlab.cli import main
+from rlab.diagnostics import l1ball_counterexample
 
 BALL = '{"kind": "egg", "p": 2}'
 EGG4 = '{"kind": "egg", "p": 4}'
@@ -435,6 +436,36 @@ def test_counterexample(capsys):
     assert obj["K_max"] == 200
     assert obj["tail_law_estimates"]["omega_G"] == pytest.approx(-1.5,
                                                                  abs=0.05)
+    assert obj["k"][-1] == 200
+    # k times the Hardy term tends to pi/2; at k = 100 it reads 1.5712946
+    assert obj["hardy_k_times_term"][99] == pytest.approx(1.5712946, abs=1e-7)
+
+
+def test_counterexample_last_row_is_k_max(capsys):
+    # thin 2: the rows are k = 2, 4, ..., 2000, and the last one carries
+    # the final partial sums
+    code, out, _err = run(capsys, "counterexample", "--kmax", "2000")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert len(rows) == 1 + 1000
+    assert rows[1][0] == "2"
+    rep = l1ball_counterexample(2000)
+    assert [float(v) for v in rows[-1]] == [
+        2000.0, rep.hardy_partial_sums[-1], rep.bergman_nu_F_partial_sums[-1],
+        rep.bergman_nu_G_partial_sums[-1],
+        rep.bergman_omega_G_partial_sums[-1]]
+
+
+@pytest.mark.parametrize("argv", [
+    ["weight-equiv", "--domain", '{"kind": "egg", "p": 0.5}'],
+    ["leray-rays", "--domain", BALL, "--max", "8"],
+    ["counterexample", "--kmax", "5"],
+], ids=lambda argv: argv[0])
+def test_experiment_bad_input_is_a_one_line_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert _one_line_error(err)
 
 
 # ---------------------------------------------------------------------------

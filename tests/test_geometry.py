@@ -619,6 +619,18 @@ def test_construction_does_no_describe_work(monkeypatch):
     assert len(calls) == 2
 
 
+def test_describe_estimates_the_endpoint_limits_once(monkeypatch):
+    # the classification reuses the limits the p_limits field reports
+    calls = []
+    inner = DomainGeometry._estimate_p_limits
+    monkeypatch.setattr(DomainGeometry, "_estimate_p_limits",
+                        lambda self: calls.append(self) or inner(self))
+    geom = domain_from_spec({"kind": "expr", "p_check": EX_PROFILE})
+    info = geom.describe()
+    assert len(calls) == 1
+    assert info["classification"] == classify_boundary(geom)
+
+
 def test_classification_eggs():
     c2 = classify_boundary(domain_from_exponent(egg_profile(2.0)))
     assert c2["axis0"]["class"] == "finite_type(2)"
