@@ -203,6 +203,8 @@ def _run_norms(args, geom):
 
 
 def _run_compare_lemma(args, geom):
+    if args.samples < 1:
+        raise ValueError("--samples must be at least 1")
     rep = diagnostics.verify_comparison_lemma(geom, args.samples, args.seed)
     obj = _record(rep)
     code = EXIT_OK if rep.passed else EXIT_HYPOTHESIS
@@ -210,6 +212,8 @@ def _run_compare_lemma(args, geom):
 
 
 def _run_weight_equiv(args, geom):
+    if args.samples < 1:
+        raise ValueError("--samples must be at least 1")
     ts = tuple(np.linspace(0.0, 1.0, args.samples + 2)[1:-1])
     rep = diagnostics.verify_weight_equivalence(geom, t_samples=ts)
     obj = _record(rep)

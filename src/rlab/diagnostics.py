@@ -43,15 +43,22 @@ def F_omega(geom: DomainGeometry, s, t, theta1, theta2):
     Bounded above by 1, with equality only at s = t, angles 0 (strict
     convexity of the domain).
     """
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    return (np.exp(geom.log_r1(s) + geom.log_r1_star(t)) * np.cos(theta1)
-            + np.exp(geom.log_r2(s) + geom.log_r2_star(t)) * np.cos(theta2))
+    return _pairing(geom, s, t, np.cos(theta1), np.cos(theta2))
 
 
 def _f_ball(s, t, theta1, theta2):
-    return (np.sqrt(s * t) * np.cos(theta1)
-            + np.sqrt((1.0 - s) * (1.0 - t)) * np.cos(theta2))
+    return _ball_pairing(s, t, np.cos(theta1), np.cos(theta2))
+
+
+def _pairing(geom: DomainGeometry, s, t, c1, c2):
+    """F_omega from the cosines c1 = cos t1 and c2 = cos t2."""
+    return (np.exp(geom.log_r1(s) + geom.log_r1_star(t)) * c1
+            + np.exp(geom.log_r2(s) + geom.log_r2_star(t)) * c2)
+
+
+def _ball_pairing(s, t, c1, c2):
+    """F on the ball, from the cosines c1 = cos t1 and c2 = cos t2."""
+    return np.sqrt(s * t) * c1 + np.sqrt((1.0 - s) * (1.0 - t)) * c2
 
 
 def egg_comparison_constant(p: float) -> float:
@@ -96,6 +103,8 @@ def verify_comparison_lemma(geom: DomainGeometry, n_samples: int = 100_000,
     the four angle-corner configurations on an (s, t) grid, mirroring the
     corner-maximum structure of the optimization.
     """
+    if n_samples < 1:
+        raise DomainError("n_samples must be at least 1")
     grid = np.linspace(1e-6, 1 - 1e-6, 1001)
     pvals = geom.p_at(grid)
     p_l, p_g = float(pvals.min()), float(pvals.max())
@@ -109,24 +118,24 @@ def verify_comparison_lemma(geom: DomainGeometry, n_samples: int = 100_000,
     q_g = p_l / (p_l - 1.0)
     c_high = (q_g / q_l) * egg_comparison_constant(q_l)
 
+    # the n draws, then the four angle corners over an 81 x 81 (s, t) grid;
+    # each angle is stored as its cosine, taken once
+    n, g, h = n_samples, np.linspace(0.005, 0.995, 81), 0.5 * math.pi
+    s, t, c1, c2 = buf = np.empty((4, n + 4 * g.size ** 2))
     rng = np.random.default_rng(seed)
-    s = rng.uniform(0.0, 1.0, n_samples)
-    t = rng.uniform(0.0, 1.0, n_samples)
-    th1 = rng.uniform(0.0, 0.5 * math.pi, n_samples)
-    th2 = rng.uniform(0.0, 0.5 * math.pi, n_samples)
+    for row in buf:
+        # rng.uniform(0, h, n) is 0 + h u of these u, which is h u exactly
+        rng.random(out=row[:n])
+    buf[2:, :n] *= h
+    np.cos(buf[2:, :n], out=buf[2:, :n])
+    blocks = buf[:, n:].reshape(4, 4, -1)    # coordinate, corner, point
+    blocks[:2] = np.reshape(np.meshgrid(g, g), (2, 1, -1))
+    blocks[2:] = np.cos([[0.0, 0.0, h, h], [0.0, h, 0.0, h]])[..., None]
 
-    # corner configurations over a coarse (s, t) grid
-    g = np.linspace(0.005, 0.995, 81)
-    sg, tg = [a.ravel() for a in np.meshgrid(g, g)]
-    corners = [(0.0, 0.0), (0.0, 0.5 * math.pi),
-               (0.5 * math.pi, 0.0), (0.5 * math.pi, 0.5 * math.pi)]
-    s = np.concatenate([s] + [sg] * 4)
-    t = np.concatenate([t] + [tg] * 4)
-    th1 = np.concatenate([th1] + [np.full_like(sg, c[0]) for c in corners])
-    th2 = np.concatenate([th2] + [np.full_like(sg, c[1]) for c in corners])
-
-    one_minus_fb = 1.0 - _f_ball(s, t, th1, th2)
-    one_minus_fo = 1.0 - F_omega(geom, s, t, th1, th2)
+    one_minus_fb = _ball_pairing(s, t, c1, c2)
+    np.subtract(1.0, one_minus_fb, out=one_minus_fb)
+    one_minus_fo = _pairing(geom, s, t, c1, c2)
+    np.subtract(1.0, one_minus_fo, out=one_minus_fo)
     keep = one_minus_fb > 1e-12
     ratio = one_minus_fo[keep] / one_minus_fb[keep]
 
@@ -249,39 +258,43 @@ def l1ball_counterexample(K_max: int = 10_000) -> CounterexampleReport:
     if K_max < 10:
         raise DomainError("K_max must be at least 10")
     k = np.arange(1, K_max + 1, dtype=float)
-    # log Gamma at its four distinct arguments, each evaluated once
-    lg_4k2, lg_4k25, lg_2k1, lg_k1 = (log_gamma(x) for x in (
-        4.0 * k + 2.0, 4.0 * k + 2.5, 2.0 * k + 1.0, k + 1.0))
-    log_k, log_pow2 = np.log(k), 2.0 * k * math.log(2.0)
-    log_t_sq = 2.0 * (log_pow2 - 0.75 * log_k - 0.5 * lg_4k2)
-    log_b_sq = 2.0 * (log_pow2 - 0.75 * log_k - 0.5 * lg_4k25)
-    log_pow4 = 4.0 * k * math.log(2.0)   # log 2^{2m1+2m2} on the diagonal
-
-    # a_k = 4 conj(b_k) (4k+1)! (k!)^2 / ((2k)!)^2; Hardy term |a|^2 I(k, k)
-    log_a_sq = (2.0 * math.log(4.0) + log_b_sq
-                + 2.0 * (lg_4k2 + 2.0 * lg_k1 - 2.0 * lg_2k1))
-    log_moment = 2.0 * lg_2k1 - lg_4k2
-    # the 1/16 restores the plain model series sum |a|^2 I of the norm
-    # characterization; the display's factor 4 in a_k cancels against it
-    log_terms = np.stack((log_t_sq - log_pow4 + lg_4k2,
-                          log_t_sq - log_pow4 + lg_4k25,
-                          log_b_sq - log_pow4 + lg_4k25,
-                          log_a_sq + log_moment - 2.0 * math.log(4.0)))
+    # one buffer holds the log-Gamma arguments, the log terms (omega_G and
+    # nu_F first hold log t_k^2 and log b_k^2), the terms and partial sums:
+    #   omega_G = log t_k^2 - log 2^{4k} + lg_4k2   (2^{4k} = 2^{2m1+2m2})
+    #   nu_G    = log t_k^2 - log 2^{4k} + lg_4k25
+    #   nu_F    = log b_k^2 - log 2^{4k} + lg_4k25
+    #   hardy   = log a_k^2 + log I(k, k) - 2 log 4: the Hardy term |a|^2 I
+    # a_k = 4 conj(b_k) (4k+1)! (k!)^2 / ((2k)!)^2; the 1/16 restores the
+    # model series sum |a|^2 I, and the display's factor 4 in a_k cancels it
+    buf = np.multiply.outer([4.0, 4.0, 2.0, 1.0], k)
+    buf += [[2.0], [2.5], [1.0], [1.0]]
+    lg_4k2, lg_4k25, lg_2k1, lg_k1 = lg = log_gamma(buf)
+    omega_g, nu_g, nu_f, hardy = buf
+    log_k = np.log(k)
+    np.multiply(0.5, lg[:2], out=buf[::2])
+    np.subtract(2.0 * k * math.log(2.0) - 0.75 * log_k, buf[::2],
+                out=buf[::2])
+    buf[::2] *= 2.0
+    np.add(2.0 * math.log(4.0), nu_f, out=hardy)
+    hardy += 2.0 * (lg_4k2 + 2.0 * lg_k1 - 2.0 * lg_2k1)
+    hardy += 2.0 * lg_2k1 - lg_4k2
+    hardy -= 2.0 * math.log(4.0)
+    nu_g[:] = omega_g
+    buf[:3] -= 4.0 * k * math.log(2.0)
+    omega_g += lg_4k2
+    buf[1:3] += lg_4k25
     # top-decade slopes in closed form; einsum, not @, keeps the sums in
     # this thread, and the BLAS thread numpy started stays idle
     lo = K_max // 10
-    x, y = log_k[lo:] - log_k[lo:].mean(), log_terms[:, lo:]
-    slopes = (np.einsum("ij,j->i", y - y.mean(axis=1, keepdims=True), x)
-              / np.einsum("j,j->", x, x))
-    omega_g, nu_g, nu_f, hardy = np.exp(log_terms, out=log_terms)
+    x, y = log_k[lo:] - log_k[lo:].mean(), buf[:, lo:]
+    y_c = np.subtract(y, y.mean(axis=1, keepdims=True), out=lg[:, lo:])
+    slopes = np.einsum("ij,j->i", y_c, x) / np.einsum("j,j->", x, x)
+    np.exp(buf, out=buf)
+    k *= hardy
+    np.cumsum(buf, axis=1, out=buf)
 
     return CounterexampleReport(
-        K_max,
-        np.cumsum(hardy),
-        np.cumsum(nu_f),
-        np.cumsum(nu_g),
-        np.cumsum(omega_g),
-        k * hardy,
+        K_max, hardy, nu_f, nu_g, omega_g, k,
         dict(zip(("omega_G", "nu_G", "nu_F", "hardy"), slopes.tolist())),
         ("transform(Hardy) strictly inside A2(nu): F in A2(nu) with no "
          "Hardy preimage (Hardy series tail ~ (pi/2)/k)",

@@ -399,6 +399,16 @@ def test_compare_lemma_range_shows_the_exponent(capsys):
     assert "exponent range [1.0000001, 1.0000001]" in err
 
 
+@pytest.mark.parametrize("verb", ["compare-lemma", "weight-equiv"])
+@pytest.mark.parametrize("samples", ["0", "-3", "-5"])
+def test_sampling_verbs_reject_no_samples(capsys, verb, samples):
+    # compare-lemma drew no point at 0 and passed on its corner grid alone;
+    # a negative count gave numpy's message, which named neither the flag
+    # nor the value given
+    code, out, err = run(capsys, verb, "--domain", BALL, "--samples", samples)
+    assert (code, out, err) == (1, "", "error: --samples must be at least 1\n")
+
+
 @pytest.mark.parametrize("argv", [["dual"], ["leray-grid", "--max", "2"]],
                          ids=lambda argv: argv[0])
 def test_dual_exponent_rounding_to_one(capsys, argv):

@@ -3,17 +3,20 @@ inequality, exponential weight stability, and the witness series on the
 absolute-sum ball."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rlab.diagnostics import (F_omega, _f_ball, egg_comparison_constant,
+from rlab.diagnostics import (COMPARISON_SLACK, ComparisonReport, F_omega,
+                              _f_ball, egg_comparison_constant,
                               l1ball_counterexample, l1ball_log_moment,
                               verify_comparison_lemma,
                               verify_weight_equivalence)
 from rlab.errors import DomainError, HypothesisNotMet
-from rlab.geometry import domain_from_exponent, egg_profile, expression_profile
+from rlab.geometry import (domain_from_exponent, domain_from_spec, egg_profile,
+                           expression_profile)
 
 ZETA_3_2 = 2.6123753486854883
 
@@ -114,6 +117,81 @@ def test_comparison_hypothesis_guard():
         verify_comparison_lemma(geom, n_samples=1_000)
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_comparison_needs_a_sample(ball, n):
+    # no draw would check the corner grid only, and a negative count would
+    # slice the sample buffer from its end
+    with pytest.raises(DomainError, match="n_samples must be at least 1"):
+        verify_comparison_lemma(ball, n_samples=n)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345])
+def test_scaled_draws_match_uniform(seed):
+    # the sampler draws u into its buffer and scales the angles in place:
+    # rng.uniform(0, h) returns 0 + h u from the same u, which is h u
+    h = 0.5 * math.pi
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = np.array([a.uniform(0.0, 1.0, 1000), a.uniform(0.0, h, 1000)])
+    got = np.empty((2, 1000))
+    for row in got:
+        b.random(out=row)
+    got[1] *= h
+    assert np.array_equal(got, want)
+
+
+def _comparison_from_fresh_arrays(geom, n_samples, seed):
+    # the comparison sampler with each block drawn or filled as its own
+    # array and concatenated, every cosine taken on the concatenation
+    pvals = geom.p_at(np.linspace(1e-6, 1 - 1e-6, 1001))
+    p_l, p_g = float(pvals.min()), float(pvals.max())
+    c_low = p_l / (p_g * egg_comparison_constant(p_l))
+    q_l, q_g = p_g / (p_g - 1.0), p_l / (p_l - 1.0)
+    c_high = (q_g / q_l) * egg_comparison_constant(q_l)
+    rng = np.random.default_rng(seed)
+    s = rng.uniform(0.0, 1.0, n_samples)
+    t = rng.uniform(0.0, 1.0, n_samples)
+    th1 = rng.uniform(0.0, 0.5 * math.pi, n_samples)
+    th2 = rng.uniform(0.0, 0.5 * math.pi, n_samples)
+    g = np.linspace(0.005, 0.995, 81)
+    sg, tg = [a.ravel() for a in np.meshgrid(g, g)]
+    corners = [(0.0, 0.0), (0.0, 0.5 * math.pi),
+               (0.5 * math.pi, 0.0), (0.5 * math.pi, 0.5 * math.pi)]
+    s = np.concatenate([s] + [sg] * 4)
+    t = np.concatenate([t] + [tg] * 4)
+    th1 = np.concatenate([th1] + [np.full_like(sg, c[0]) for c in corners])
+    th2 = np.concatenate([th2] + [np.full_like(sg, c[1]) for c in corners])
+    one_minus_fb = 1.0 - (np.sqrt(s * t) * np.cos(th1)
+                          + np.sqrt((1.0 - s) * (1.0 - t)) * np.cos(th2))
+    one_minus_fo = 1.0 - (
+        np.exp(geom.log_r1(s) + geom.log_r1_star(t)) * np.cos(th1)
+        + np.exp(geom.log_r2(s) + geom.log_r2_star(t)) * np.cos(th2))
+    keep = one_minus_fb > 1e-12
+    ratio = one_minus_fo[keep] / one_minus_fb[keep]
+    violations = int(np.sum(ratio < c_low - COMPARISON_SLACK)
+                     + np.sum(ratio > c_high + COMPARISON_SLACK))
+    return ComparisonReport(int(s.size), float(ratio.min()),
+                            float(ratio.max()), c_low, c_high, p_l, p_g,
+                            violations, violations == 0, seed)
+
+
+_COMPARISON_SPECS = ['{"kind": "egg", "p": 2}', '{"kind": "egg", "p": 4}',
+                     '{"kind": "expr", "p_check": "2+1/log(10/s)"}',
+                     '{"kind": "table", "s": [0, 0.25, 0.5, 0.75, 1], '
+                     '"p": [2, 3, 2.5, 4, 3]}']
+
+
+@pytest.mark.parametrize("spec, n", [
+    (spec, n) for spec in _COMPARISON_SPECS for n in (1, 1000)]
+    + [(_COMPARISON_SPECS[1], 100_000)])
+def test_comparison_matches_fresh_array_sampler(spec, n):
+    # one buffer for the four coordinates, filled in place, gives every
+    # field bit for bit
+    geom = domain_from_spec(spec)
+    for seed in (0, 7):
+        assert (verify_comparison_lemma(geom, n, seed)
+                == _comparison_from_fresh_arrays(geom, n, seed))
+
+
 # ---------------------------------------------------------------------------
 # weight equivalence
 # ---------------------------------------------------------------------------
@@ -200,6 +278,19 @@ def test_counterexample_series_match_elementwise_terms():
                           np.cumsum(terms["nu_F"]))
     assert np.array_equal(rep.hardy_partial_sums, np.cumsum(terms["hardy"]))
     assert np.array_equal(rep.hardy_k_times_term, k * terms["hardy"])
+
+
+def test_counterexample_peak_memory():
+    # the four series live in one (4, K) buffer next to their log-Gamma
+    # values: twelve K-vectors at the peak, 9.2 MiB at K = 100,000
+    l1ball_counterexample(100_000)   # scipy.special is imported on first use
+    tracemalloc.start()
+    try:
+        l1ball_counterexample(100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2 ** 20
 
 
 @pytest.mark.filterwarnings("error")
