@@ -108,6 +108,12 @@ def _record(rep) -> dict:
 # (csv header, csv rows, json object, exit code); main writes the output
 # ---------------------------------------------------------------------------
 
+def _samples(args):
+    if args.samples < 1:
+        raise ValueError("--samples must be at least 1")
+    return args.samples
+
+
 def _run_describe(args, geom):
     if args.verb == "dual":
         geom = geometry.dual_complement(geom)
@@ -116,9 +122,7 @@ def _run_describe(args, geom):
 
 
 def _run_curvature(args, geom):
-    if args.samples < 1:
-        raise ValueError("--samples must be at least 1")
-    ss = np.linspace(0.0, 1.0, args.samples + 2)[1:-1]
+    ss = np.linspace(0.0, 1.0, _samples(args) + 2)[1:-1]
     c = geometry.curvatures_at(geom, ss)
     rows = list(zip(*(a.tolist() for a in (ss, c.kappa1, c.kappa2, c.kappa3,
                                             c.p_recovered))))
@@ -203,18 +207,14 @@ def _run_norms(args, geom):
 
 
 def _run_compare_lemma(args, geom):
-    if args.samples < 1:
-        raise ValueError("--samples must be at least 1")
-    rep = diagnostics.verify_comparison_lemma(geom, args.samples, args.seed)
+    rep = diagnostics.verify_comparison_lemma(geom, _samples(args), args.seed)
     obj = _record(rep)
     code = EXIT_OK if rep.passed else EXIT_HYPOTHESIS
     return ["field", "value"], sorted(obj.items()), obj, code
 
 
 def _run_weight_equiv(args, geom):
-    if args.samples < 1:
-        raise ValueError("--samples must be at least 1")
-    ts = tuple(np.linspace(0.0, 1.0, args.samples + 2)[1:-1])
+    ts = tuple(np.linspace(0.0, 1.0, _samples(args) + 2)[1:-1])
     rep = diagnostics.verify_weight_equivalence(geom, t_samples=ts)
     obj = _record(rep)
     rows = [(k, obj[k]) for k in ("rho_min", "rho_max", "ratio", "pass")]

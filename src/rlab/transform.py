@@ -301,21 +301,13 @@ def _log_exp_norms(geom: DomainGeometry, rs: np.ndarray, lr1t: np.ndarray,
     per set of t.  E is one log_matmul of r^{2n} e^{lam_n} and
     c_n(t) e^{-lam_n}, lam_n = max_t log c_n(t) balancing the two.
 
-    Only j + k <= N is read: rows j <= h = N // 2 of mu against all k, the
-    rest against k <= N - h (one column more: einsum sums one column in
-    another order), and D alike.  The terms left out are exact zeros and no
-    row or column scale changes, so every bit is the whole box's.
-
     The gap between the two levels measures the s-rule only; the dropped
     tail of the series is not part of it.
     """
     n = _series_degree(float(rs.max()))
-    h, deg = n // 2, np.arange(n + 1.0)
+    deg = np.arange(n + 1.0)
     log_f = 2.0 * log_gamma(deg + 1.0)
-    log_mu = np.full((2, n + 1, n + 1), -np.inf)
-    for block, m in ((slice(h + 1), n + 1), (slice(h + 1, None), n - h + 1)):
-        log_mu[:, block, :m] = _log_moment_sums(
-            geom, deg[block, None], deg[:m], level=level)
+    log_mu = _log_moment_sums(geom, deg[:, None], deg[None, :], level=level)
     log_mu -= log_f[:, None] + log_f
     j = np.arange(n + 1)
     k = j[:, None] - j          # k = n - j in row n, column j
@@ -324,13 +316,8 @@ def _log_exp_norms(geom: DomainGeometry, rs: np.ndarray, lr1t: np.ndarray,
     log_c = np.empty((2, n + 1, lr1t.size))
     first = lr1t <= lr2t
     for cols, mu in ((first, log_mu), (~first, log_mu.swapaxes(1, 2))):
-        d = np.where(k >= 0, mu[:, j, k], -np.inf)
-        for block, m in ((slice(h + 1), h + 1), (slice(h + 1, None), n + 1)):
-            # C order, not the gather's: einsum sums in another order there
-            part = np.ascontiguousarray(d[:, block, :m])
-            log_c[:, block, cols] = log_matmul(
-                part.reshape(-1, m), pows[:m, cols]
-            ).reshape(2, part.shape[1], np.count_nonzero(cols))
+        d = np.where(k >= 0, mu[:, j, k], -np.inf).reshape(-1, n + 1)
+        log_c[:, :, cols] = log_matmul(d, pows[:, cols]).reshape(2, n + 1, -1)
     log_c = (log_c + _log_powers(deg, y)).swapaxes(0, 1).reshape(n + 1, -1)
     lam = log_c.max(axis=1)
     with np.errstate(divide="ignore"):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rlab.diagnostics import (COMPARISON_SLACK, ComparisonReport, F_omega,
-                              _f_ball, egg_comparison_constant,
+                              _ball_pairing, egg_comparison_constant,
                               l1ball_counterexample, l1ball_log_moment,
                               verify_comparison_lemma,
                               verify_weight_equivalence)
@@ -46,7 +46,8 @@ def test_f_ball_helper_consistency(ball):
     s, t = rng.uniform(0.01, 0.99, (2, 200))
     th1, th2 = rng.uniform(0.0, math.pi, (2, 200))
     assert np.allclose(F_omega(ball, s, t, th1, th2),
-                       _f_ball(s, t, th1, th2), atol=1e-13)
+                       _ball_pairing(s, t, np.cos(th1), np.cos(th2)),
+                       atol=1e-13)
 
 
 @settings(max_examples=500, deadline=None)

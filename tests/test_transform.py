@@ -16,7 +16,7 @@ from rlab import transform
 from rlab.errors import DomainError, IndexOutOfTable
 from rlab.geometry import (domain_from_exponent, dual_complement, egg_profile,
                            expression_profile, tabulated_profile)
-from rlab.leray import _log_moment_sums, _radial_log_nodes, moment_table
+from rlab.leray import _radial_log_nodes, moment_table
 from rlab.numerics import (_FLOOR, bessel_i0_log, log_gamma, log_matmul,
                            nested_log_sums, tanh_sinh_indexed)
 from rlab.transform import (CoefficientGrid, _log_exp_norms, _series_degree,
@@ -338,46 +338,6 @@ def test_exp_norm_at_the_ends_of_a_dual(t):
         want = _log_exp_norms(dual, np.array([r]), np.array([lr1t]),
                               np.array([lr2t]), 6)[0, 0, 0]
         assert exp_norm_sq(dual, r, t) == want
-
-
-def _full_box_log_exp_norms(geom, rs, lr1t, lr2t, level, n):
-    # the kernel with the whole (n+1)^2 moment box and one product per
-    # orientation of D
-    deg = np.arange(n + 1.0)
-    log_f = 2.0 * log_gamma(deg + 1.0)
-    log_mu = _log_moment_sums(geom, deg[:, None], deg[None, :], level=level)
-    log_mu -= log_f[:, None] + log_f
-    j = np.arange(n + 1)
-    k = j[:, None] - j
-    x, y = np.minimum(lr1t, lr2t), np.maximum(lr1t, lr2t)
-    pows = transform._log_powers(deg, x - y)
-    log_c = np.empty((2, n + 1, lr1t.size))
-    first = lr1t <= lr2t
-    for cols, mu in ((first, log_mu), (~first, log_mu.swapaxes(1, 2))):
-        d = np.where(k >= 0, mu[:, j, k], -np.inf).reshape(-1, n + 1)
-        log_c[:, :, cols] = log_matmul(d, pows[:, cols]).reshape(2, n + 1, -1)
-    log_c = (log_c + transform._log_powers(deg, y)).swapaxes(0, 1)
-    log_c = log_c.reshape(n + 1, -1)
-    lam = log_c.max(axis=1)
-    with np.errstate(divide="ignore"):
-        rows = transform._log_powers(deg, np.log(rs)).T + lam
-    out = log_matmul(rows, log_c - lam[:, None]) - math.log(4.0)
-    return out.reshape(rs.size, 2, lr1t.size).swapaxes(0, 1)
-
-
-@pytest.mark.parametrize("n", [0, 1, 2, 131, 345])
-def test_exp_norm_kernel_reads_the_triangle_bit_for_bit(kernel_domain, n,
-                                                        monkeypatch):
-    # c_n reads the moments at j + k <= n only; the other entries of the
-    # box are never computed, and every value keeps its bits, for the omega
-    # norm's t nodes and for the one t point of exp_norm_sq
-    rs = np.linspace(0.0, R_MAX_60, 13)
-    monkeypatch.setattr(transform, "_series_degree", lambda r_max: n)
-    one_t = ([kernel_domain.log_r1_star(0.3)], [kernel_domain.log_r2_star(0.3)])
-    for lr1t, lr2t in (_t_nodes(kernel_domain), np.array(one_t)):
-        got = _log_exp_norms(kernel_domain, rs, lr1t, lr2t, 4)
-        want = _full_box_log_exp_norms(kernel_domain, rs, lr1t, lr2t, 4, n)
-        assert got.tobytes() == want.tobytes()
 
 
 def test_exp_series_tail_is_negligible(kernel_domain):
