@@ -6,10 +6,9 @@ verification of the associated inequalities and counterexamples."""
 from .errors import (DomainError, ExponentOutOfRange, HypothesisNotMet,
                      IndexOutOfTable, NonEvaluableProfile, ParseError,
                      RlabError)
-from .geometry import (DomainGeometry, ExponentProfile, classify_boundary,
-                       curvatures_at, domain_from_exponent, domain_from_spec,
-                       dual_complement, egg_profile, expression_profile,
-                       tabulated_profile)
+from .geometry import (DomainGeometry, ExponentProfile, curvatures_at,
+                       domain_from_exponent, domain_from_spec, dual_complement,
+                       egg_profile, expression_profile, tabulated_profile)
 from .leray import (LerayNormGrid, MomentTable, axis_limit_probe,
                     boundedness_report, leray_norm_grid, moment_table,
                     ray_limit_predictor)

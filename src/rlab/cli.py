@@ -123,7 +123,10 @@ def _run_describe(args, geom):
 
 def _run_curvature(args, geom):
     ss = np.linspace(0.0, 1.0, _samples(args) + 2)[1:-1]
-    c = geometry.curvatures_at(geom, ss)
+    with np.errstate(all="ignore"):  # r^2 leaves the doubles: checked next
+        c = geometry.curvatures_at(geom, ss)
+    if not np.isfinite([c.kappa1, c.kappa2, c.kappa3, c.p_recovered]).all():
+        raise ValueError("curvatures overflow double precision on this domain")
     rows = list(zip(*(a.tolist() for a in (ss, c.kappa1, c.kappa2, c.kappa3,
                                             c.p_recovered))))
     header = ["s", "kappa1", "kappa2", "kappa3", "p_recovered"]
@@ -143,7 +146,11 @@ def _run_leray_grid(args, geom):
 
 
 def _run_leray_rays(args, geom):
-    rays = [float(x) for x in args.rays.split(",") if x.strip()]
+    try:
+        rays = [float(x) for x in args.rays.split(",") if x.strip()]
+    except ValueError:
+        raise ValueError(f"--rays must be comma-separated numbers, not "
+                         f"{args.rays!r}") from None
     rep = leray.boundedness_report(geom, args.max, rays)
     rows = []
     for d in rep.rays:
@@ -207,6 +214,8 @@ def _run_norms(args, geom):
 
 
 def _run_compare_lemma(args, geom):
+    if args.seed < 0:
+        raise ValueError("--seed must be non-negative")
     rep = diagnostics.verify_comparison_lemma(geom, _samples(args), args.seed)
     obj = _record(rep)
     code = EXIT_OK if rep.passed else EXIT_HYPOTHESIS
@@ -224,7 +233,7 @@ def _run_weight_equiv(args, geom):
 
 def _run_counterexample(args, geom):
     rep = diagnostics.l1ball_counterexample(args.kmax)
-    obj = rep.as_dict(thin=max(1, args.kmax // 1000))
+    obj = rep.as_dict()
     rows = list(zip(obj["k"], obj["hardy_partial_sums"],
                     obj["bergman_nu_F_partial_sums"],
                     obj["bergman_nu_G_partial_sums"],
@@ -263,7 +272,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n\n")
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except HypothesisNotMet as exc:

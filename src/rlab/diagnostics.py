@@ -175,13 +175,18 @@ def verify_weight_equivalence(geom: DomainGeometry,
     lr1t, lr2t = geom.log_r1_star(ts), geom.log_r2_star(ts)
     log_e = _log_exp_norms(geom, rs, lr1t, lr2t, 6)[0]
     log_z = 0.5 * np.logaddexp(2.0 * lr1t, 2.0 * lr2t)
-    vals = np.exp(-2.0 * rs[:, None] + 1.5 * (np.log(rs)[:, None] + log_z)
-                  + log_e)
+    log_vals = (-2.0 * rs[:, None] + 1.5 * (np.log(rs)[:, None] + log_z)
+                + log_e)
+    with np.errstate(over="ignore"):
+        vals = np.exp(log_vals)
     lo, hi = float(vals.min()), float(vals.max())
+    # rho scales with the domain, its ratio does not: past the doubles, logs
+    ratio = hi / lo if np.finfo(float).tiny <= lo and hi < math.inf else (
+        math.exp(float(log_vals.max() - log_vals.min())))
     return WeightEquivalenceReport(tuple(float(r) for r in rs),
                                    tuple(ts.tolist()),
-                                   lo, hi, hi / lo, WEIGHT_FACTOR,
-                                   hi / lo < WEIGHT_FACTOR)
+                                   lo, hi, ratio, WEIGHT_FACTOR,
+                                   ratio < WEIGHT_FACTOR)
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +211,9 @@ class CounterexampleReport:
     tail_law_estimates: dict
     inclusions: tuple
 
-    def as_dict(self, thin: int = 1) -> dict:
-        # every thin-th k counted back from K_max, so the last row is K_max
+    def as_dict(self) -> dict:
+        # every thin-th k back from K_max, the last row; at most 1,999 rows
+        thin = max(1, self.K_max // 1000)
         idx = np.arange(self.K_max - 1, -1, -thin)[::-1]
         return {
             "K_max": self.K_max,

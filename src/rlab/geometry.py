@@ -39,7 +39,6 @@ __all__ = [
     "domain_from_exponent",
     "dual_complement",
     "curvatures_at",
-    "classify_boundary",
     "domain_from_spec",
 ]
 
@@ -81,8 +80,9 @@ class ExponentProfile:
     constant_p: Optional[float] = field(init=False)
 
     def __post_init__(self):
-        if self.b1 <= 0 or self.b2 <= 0:
-            raise DomainError("axis intercepts b1, b2 must be positive")
+        if not (0.0 < self.b1 < math.inf and 0.0 < self.b2 < math.inf):
+            raise DomainError("axis intercepts b1, b2 must be positive and "
+                              "finite")
         try:
             vals = self(_VALIDATION_GRID)
         except Exception as exc:  # noqa: BLE001 - surface as library error
@@ -168,6 +168,9 @@ def tabulated_profile(s_samples, p_samples, b1: float = 1.0,
         c0, c1, c2, c3 = t / h, (m - d[:-1]) / h - t, d[:-1], p_arr[:-1]
     if not np.isfinite(d).all():
         raise DomainError("tabulated profile too steep: its slopes overflow")
+    if not (np.isfinite(c0).all() and np.isfinite(c1).all()):
+        # also on a piece narrower than the validation grid's spacing
+        raise NonEvaluableProfile("exponent profile is not finite on (0, 1)")
     # one more piece, constant at the last sample, takes s >= the last knot,
     # so clipping s into the knots' range is all the end handling (±inf too)
     c0, c1, c2 = (np.append(c, 0.0) for c in (c0, c1, c2))
@@ -202,14 +205,19 @@ _DYADIC = 2.0 ** -np.arange(1, 48)
 _OPEN = (np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
 
 
-def _panel_edges(a: float, b: float) -> np.ndarray:
-    """Panel edges on [a, b], dyadically graded toward b only.
+def _panel_edges(a: float, knots: np.ndarray) -> np.ndarray:
+    """Panel edges on [a, 0], dyadically graded toward 0 only, and the logs
+    of the knots inside it, sorted; with no knots, nothing to filter or sort.
 
     The grading absorbs integrands that are bounded but only log-smooth at
-    u = b = 0 (2 + 1/log(10/s) in r2, where s = 1 - e^u).  The lower end a
+    u = 0 (2 + 1/log(10/s) in r2, where s = 1 - e^u).  The lower end a
     is an ordinary point; on a dyadic panel the nearest end singularity is a
     panel length away, so 16 Gauss nodes err by about (3 + sqrt 8)^-32."""
-    return np.concatenate(([a], b - (b - a) * _DYADIC, [b]))
+    e = np.concatenate(([a], a * _DYADIC, [0.0]))
+    if knots.size:
+        e = np.sort(np.concatenate((e, np.log(
+            knots[(knots > math.exp(a)) & (knots < 1.0)]))))
+    return e
 
 
 def _suffix_sums(pieces: np.ndarray) -> np.ndarray:
@@ -251,10 +259,9 @@ def _integrals_to_zero(f: Callable, x: np.ndarray, knots) -> np.ndarray:
     # log 1 = 0 stands in for x >= 1 (integral 0), and for x <= 0 and nan,
     # whose results are set last
     u = np.log(np.where((flat > 0.0) & (flat < 1.0), flat, 1.0))
-    a = float(u.min(initial=0.0))
-    knots = np.log(knots[(knots > math.exp(a)) & (knots < 1.0)])
     # repeated edges only add empty pieces, so they are not removed
-    edges = np.concatenate((u, _panel_edges(a, 0.0), knots))
+    edges = np.concatenate((u, _panel_edges(float(u.min(initial=0.0)),
+                                            knots)))
     edges.sort()
     idx = edges.searchsorted(u).astype(np.int32)  # half the memory
     del u
@@ -328,13 +335,9 @@ class DomainGeometry:
     def _quadrature_log_radii(self, s: float) -> tuple:
         # r1's pieces on [log s, 0], then r2's on [log(1 - s), 0], knots
         # included; the piece joining them runs backwards, so counts 0
-        p, knots, sides = self.profile, np.array(self.profile.knots), []
-        for a, k in zip(np.log([s, 1.0 - s]).tolist(), (knots, 1.0 - knots)):
-            e = _panel_edges(a, 0.0)
-            if k.size:
-                k = np.log(k[(k > math.exp(a)) & (k < 1.0)])
-                e = np.sort(np.concatenate((e, k)))
-            sides.append(e)
+        p, knots = self.profile, np.array(self.profile.knots)
+        sides = [_panel_edges(a, k) for a, k in zip(
+            np.log([s, 1.0 - s]).tolist(), (knots, 1.0 - knots))]
         n = sides[0].size
         pieces = _panel_sums(lambda u: 1.0 / p(np.concatenate(
             (np.exp(u[:n]), -np.expm1(u[n:]))).clip(*_OPEN)),
@@ -343,15 +346,13 @@ class DomainGeometry:
                 math.log(p.b2) - math.fsum(pieces[n:]))
 
     def log_radii(self, s):
-        """(log r1(s), log r2(s)), floats for a float; one s: paired pass."""
+        """(log r1(s), log r2(s)), floats for a float; one s in (0, 1) of a
+        non-constant primal takes the paired pass."""
         s = np.asarray(s, dtype=float)
-        if self._primal is None:
-            if s.ndim == 0 and 0.0 < s < 1.0 and self.profile.constant_p is None:
-                return self._quadrature_log_radii(float(s))
-            return self.log_r1(s), self.log_r2(s)
-        lr1, lr2 = self._primal.log_radii(s)  # as in log_r*_star_xy
-        lr1, lr2 = _log_over(_log(s), lr1), _log_over(_log(1.0 - s), lr2)
-        return (float(lr1), float(lr2)) if s.ndim == 0 else (lr1, lr2)
+        if (s.ndim == 0 and 0.0 < s < 1.0 and self._primal is None
+                and self.profile.constant_p is None):
+            return self._quadrature_log_radii(float(s))
+        return self.log_r1(s), self.log_r2(s)
 
     def log_r1_xy(self, s, sm):
         return self._lr1_xy(np.asarray(s, float), np.asarray(sm, float))
@@ -388,12 +389,6 @@ class DomainGeometry:
     def log_r2_star(self, s):
         s = np.asarray(s, dtype=float)
         return _log_over(_log(1.0 - s), self.log_r2(s))
-
-    def log_star_radii(self, s: float) -> tuple:
-        """(log r1*(s), log r2*(s)) from one log_radii call, as floats."""
-        lr1, lr2 = self.log_radii(s)
-        return (float(_log_over(_log(s), lr1)),
-                float(_log_over(_log(1.0 - s), lr2)))
 
     def r1_star(self, s):
         return np.exp(self.log_r1_star(s))
@@ -514,7 +509,7 @@ def curvatures_at(geom: DomainGeometry, s) -> CurvatureTriple:
     return CurvatureTriple(*(map(float, out) if s.ndim == 0 else out))
 
 
-def classify_boundary(geom: DomainGeometry) -> dict:
+def _classify(geom: DomainGeometry, p_limits: dict) -> dict:
     """Heuristic contact-order classification at the two axis points.
 
     A finite exponent limit equal to an even integer 2m marks finite
@@ -522,10 +517,6 @@ def classify_boundary(geom: DomainGeometry) -> dict:
     the boundary cannot be twice differentiable there.  Anything else is
     reported inconclusive together with the raw limit estimate.
     """
-    return _classify(geom, geom._estimate_p_limits())
-
-
-def _classify(geom: DomainGeometry, p_limits: dict) -> dict:
     out = {}
     for axis, key in (("axis0", "s1"), ("axis1", "s0")):
         # axis0 is the point where z2 = 0 (s -> 1); axis1 where z1 = 0

@@ -33,7 +33,6 @@ from .errors import DomainError
 
 __all__ = [
     "tanh_sinh_indexed",
-    "tanh_sinh_nodes_sym",
     "nested_log_sums",
     "log_gamma",
     "log_beta",
@@ -75,15 +74,6 @@ def tanh_sinh_indexed(level: int):
     return k[keep], x[keep], xm[keep], w[keep]
 
 
-def tanh_sinh_nodes_sym(level: int):
-    """Tanh-sinh abscissae x, complements 1 - x and weights on (0, 1).
-
-    No library code calls it; it is the node rule of the moment oracle in
-    the acceptance suite (criterion 3)."""
-    _k, x, xm, w = tanh_sinh_indexed(level)
-    return x, xm, w
-
-
 def nested_log_sums(log_terms: np.ndarray, k: np.ndarray):
     """log of a tanh-sinh sum and of the next coarser level's sum.
 
@@ -119,7 +109,12 @@ def log_matmul(log_a: np.ndarray, log_b: np.ndarray) -> np.ndarray:
     neither exp nor the einsum meets a subnormal factor.  Every factor is
     at most 1, so an entry loses at most n_k e^-700 < n_k 1e-304 of its
     scaled sum, which is at least _FLOOR: n_k 1e-24 relative, far below
-    rounding.  The term-by-term sums clip at the same _CUT."""
+    rounding.  The term-by-term sums clip at the same _CUT.
+
+    einsum sums a lone column in another order than a wider operand's, so
+    one column is summed as the first of two: bits do not move with width."""
+    if log_b.shape[1] == 1:
+        return log_matmul(log_a, np.repeat(log_b, 2, axis=1))[:, :1]
     # a row or column with no terms (all -inf) takes the scale 0
     ca = np.nan_to_num(log_a.max(axis=1, keepdims=True), neginf=0.0)
     cb = np.nan_to_num(log_b.max(axis=0, keepdims=True), neginf=0.0)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
@@ -77,7 +78,16 @@ class CoefficientGrid:
         entries = {}
         try:
             for item in items:
-                key = (int(item["m1"]), int(item["m2"]))
+                key = (item["m1"], item["m2"])
+                # JSON integers and integral floats; not true, "1" or 1.9
+                if not all(isinstance(m, numbers.Real) and not isinstance(
+                        m, bool) and float(m).is_integer() for m in key):
+                    raise DomainError(f"coefficient entry {item!r}: degrees "
+                                      f"must be integers")
+                key = (int(key[0]), int(key[1]))
+                if key in entries:
+                    raise DomainError(f"coefficient entry {item!r} repeats "
+                                      f"the degree pair {key}")
                 entries[key] = complex(float(item.get("re", 0.0)),
                                        float(item.get("im", 0.0)))
         except KeyError as exc:
@@ -161,9 +171,12 @@ def laplace_map(geom: DomainGeometry, a: CoefficientGrid,
     t = (1/4) conj(a) I(m1, m2) / (m1! m2!)."""
     if a.side != "hardy":
         raise DomainError("laplace_map expects a hardy-side grid")
-    return CoefficientGrid("laplace", {
-        key: amp.conjugate() * math.exp(scale) for (key, amp), scale in zip(
-            a.entries.items(), _laplace_log_scales(table, a.entries).tolist())})
+    try:
+        return CoefficientGrid("laplace", {key: amp.conjugate() * math.exp(
+            scale) for (key, amp), scale in zip(a.entries.items(),
+            _laplace_log_scales(table, a.entries).tolist())})
+    except OverflowError:  # from math.exp
+        raise DomainError("a Laplace coefficient overflows a double") from None
 
 
 def _laplace_log_scales(table: MomentTable, keys) -> np.ndarray:
@@ -344,9 +357,9 @@ def exp_norm_sq(geom: DomainGeometry, r: float, t: float) -> float:
         raise DomainError("exp_norm_sq needs a finite r >= 0")
     if not (0.0 <= t <= 1.0):
         raise DomainError("t must lie in [0, 1]")
-    lr1t, lr2t = geom.log_star_radii(t)
-    return float(_log_exp_norms(geom, np.array([float(r)]), np.array([lr1t]),
-                                np.array([lr2t]), 6)[0, 0, 0])
+    return float(_log_exp_norms(geom, np.array([float(r)]),
+                                np.array([geom.log_r1_star(t)]),
+                                np.array([geom.log_r2_star(t)]), 6)[0, 0, 0])
 
 
 def bergman_omega_norm_sq(geom: DomainGeometry,
@@ -388,6 +401,8 @@ def bergman_omega_norm_sq(geom: DomainGeometry,
     gx, gw = np.polynomial.legendre.leggauss(12)
     n_panels = int(math.ceil(r_max / max(2.0, math.sqrt(peak))))
     half = 0.5 * r_max / n_panels
+    # the largest r node: past the limit, raise before building any r array
+    _series_degree((2.0 * n_panels - 1.0 + gx[-1]) * half)
     rs = ((2.0 * np.arange(n_panels) + 1.0)[:, None] + gx).ravel() * half
     logw_r = np.log(np.tile(half * gw, n_panels)) - 2.0 * rs
 

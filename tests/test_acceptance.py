@@ -17,7 +17,7 @@ from rlab.geometry import (DomainGeometry, domain_from_exponent,
                            dual_complement, egg_profile, expression_profile,
                            tabulated_profile)
 from rlab.leray import _leray_entries, boundedness_report, leray_norm_grid
-from rlab.numerics import log_beta, tanh_sinh_nodes_sym
+from rlab.numerics import log_beta, tanh_sinh_indexed
 from rlab.transform import (CoefficientGrid, bergman_nu_norm_sq, exp_norm_sq,
                             hardy_norm_sq, laplace_map)
 from rlab.leray import moment_table
@@ -67,7 +67,7 @@ def test_criterion_2_diagonal_ray_limits():
 def test_criterion_3_moment_oracle():
     # quadrature vs the Beta closed form on the egg p = 3, degrees to 50
     geom = domain_from_exponent(egg_profile(3.0))
-    x, xm, w = tanh_sinh_nodes_sym(7)
+    _k, x, xm, w = tanh_sinh_indexed(7)
     logw = np.log(w)
     lr1 = geom._quadrature_log_r1(x, xm)
     lr2 = geom._quadrature_log_r2(x, xm)

@@ -1,6 +1,7 @@
 """Command line tests: verbs, output formats, @file loading, determinism,
 and the exit code contract (0 ok, 1 usage, 2 hypothesis, 3 non-convergence)."""
 
+import contextlib
 import csv
 import io
 import json
@@ -8,7 +9,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from rlab import cli
 from rlab.cli import main
 from rlab.diagnostics import l1ball_counterexample
 
@@ -123,6 +126,11 @@ def test_non_finite_table_samples(capsys, s, p):
     '{"side": "hardy", "entries": [{"m1": 1, "m2": 1, "re": NaN}]}',
     '{"side": "hardy", "entries": [{"m1": 1, "m2": 1, "im": Infinity}]}',
     '{"side": "bergman", "entries": [{"m1": 1, "m2": 1, "re": 1e400}]}',
+    '{"side": "hardy", "entries": [{"m1": 1.9, "m2": 1}]}',
+    '{"side": "hardy", "entries": [{"m1": 1, "m2": true}]}',
+    '{"side": "hardy", "entries": [{"m1": "1", "m2": 1}]}',
+    '{"side": "hardy", "entries": [{"m1": 1, "m2": 1}, {"m1": 1.0, "m2": 1}]}',
+    '{"side": "bergman", "entries": [{"m1": 1e30, "m2": 1, "re": 1}]}',
 ])
 def test_malformed_coefficients(capsys, coeffs):
     code, _out, err = run(capsys, "norms", "--domain", BALL,
@@ -466,6 +474,28 @@ def test_counterexample_last_row_is_k_max(capsys):
         rep.bergman_omega_G_partial_sums[-1]]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["compare-lemma", "--seed", "-1"], "--seed must be non-negative"),
+    (["leray-rays", "--rays", "a,1"],
+     "--rays must be comma-separated numbers, not 'a,1'"),
+], ids=["seed", "rays"])
+def test_bad_flag_value_names_the_flag(capsys, argv, message):
+    code, out, err = run(capsys, *argv, "--domain", BALL)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_out_of_memory_is_a_one_line_error(capsys, monkeypatch):
+    # leray-grid --max 100000000 and counterexample --kmax 100000000000
+    # raised numpy's MemoryError; no test allocates for real
+    def too_big(args, geom):
+        raise MemoryError("Unable to allocate 745. GiB for an array")
+
+    monkeypatch.setitem(cli._VERBS, "counterexample", too_big)
+    code, out, err = run(capsys, "counterexample")
+    assert (code, out, err) == (
+        1, "", "error: Unable to allocate 745. GiB for an array\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["weight-equiv", "--domain", '{"kind": "egg", "p": 0.5}'],
     ["leray-rays", "--domain", BALL, "--max", "8"],
@@ -538,3 +568,93 @@ def test_csv_floats_are_full_precision(capsys):
     assert code == 0
     # b1 = 7^{-1/3} printed with 17 significant digits
     assert "%.17g" % (7.0 ** (-1.0 / 3.0)) in out
+
+
+# ---------------------------------------------------------------------------
+# fuzz: every input ends in a documented exit code, never a traceback
+# ---------------------------------------------------------------------------
+
+_JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
+                  st.lists(st.integers(0, 3), max_size=2))
+_REALS = st.one_of(st.integers(-3, 50), st.floats(-10.0, 60.0),
+                   st.sampled_from([0.0, 1.0, 1e-300, 1e30, 1e308, math.inf,
+                                    -math.inf, math.nan]))
+
+
+def _table_samples(n):
+    return st.tuples(
+        st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n,
+                 unique=True).map(sorted),
+        st.lists(st.floats(1.0, 10.0), min_size=n, max_size=n))
+
+
+_DOMAINS = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("egg"),
+                           "p": st.one_of(_REALS, _JUNK)},
+                          optional={"a1": _REALS, "a2": _REALS}),
+    st.fixed_dictionaries({"kind": st.just("expr"), "p_check": st.one_of(
+        st.sampled_from(["2+1/log(10/s)", "3", "40+10*s", "2+s*log(s)",
+                         "1+s", "2+1/((1.0001-s)^8)", "s^", "2+foo(s)"]),
+        _JUNK)}, optional={"b1": _REALS, "b2": _REALS}),
+    st.integers(2, 5).flatmap(_table_samples).map(
+        lambda sp: {"kind": "table", "s": sp[0], "p": sp[1]}),
+    st.fixed_dictionaries({"kind": st.just("table"),
+                           "s": st.one_of(st.lists(_REALS, max_size=4), _JUNK),
+                           "p": st.one_of(st.lists(_REALS, max_size=4), _JUNK)}),
+    st.sampled_from([{}, {"kind": "ball"}, [], "x"]))
+
+
+def _coefficients(side):
+    # hardy-side degrees stay at most 40; fractional, negative, boolean,
+    # text and repeated degrees on both sides, 1e30 on the bergman side
+    degrees = st.one_of(st.integers(-1, 40), st.sampled_from([1.0, 1.9]),
+                        st.booleans(), st.just("1"))
+    if side == "bergman":
+        degrees = st.one_of(degrees, st.just(1e30))
+    entry = st.fixed_dictionaries({"m1": degrees, "m2": degrees},
+                                  optional={"re": _REALS, "im": _REALS})
+    entries = st.lists(entry, max_size=3).flatmap(
+        lambda es: st.sampled_from([es, es + es[:1]]))
+    return st.fixed_dictionaries({"side": st.just(side), "entries": entries})
+
+
+_COEFFS = st.one_of(*(_coefficients(side) for side in
+                      ("hardy", "bergman", "laplace")), _JUNK)
+_INT_TEXT = st.integers(-3, 3).map(str)
+_FLAGS = {
+    "describe": {}, "dual": {},
+    "curvature": {"--samples": st.integers(-2, 200).map(str)},
+    "leray-grid": {"--max": st.integers(-2, 40).map(str)},
+    "leray-rays": {"--max": st.integers(-2, 40).map(str),
+                   "--rays": st.text("0123456789.,-einfa", max_size=8)},
+    "laplace": {"--coeffs": _COEFFS}, "norms": {"--coeffs": _COEFFS},
+    "compare-lemma": {"--samples": st.integers(-2, 2000).map(str),
+                      "--seed": st.one_of(_INT_TEXT, st.just("x"))},
+    "weight-equiv": {"--samples": st.integers(-2, 10).map(str)},
+    "counterexample": {"--kmax": st.one_of(st.integers(-2, 2000).map(str),
+                                           st.just("1e3"))},
+}
+
+
+@st.composite
+def _argv(draw):
+    verb = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [verb, "--format", draw(st.sampled_from(["csv", "json"]))]
+    if verb != "counterexample":
+        argv += ["--domain", json.dumps(draw(_DOMAINS))]
+    for flag, values in _FLAGS[verb].items():
+        if draw(st.booleans()):
+            value = draw(values)
+            argv += [flag, value if isinstance(value, str)
+                     else json.dumps(value)]
+    return argv
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_argv())
+def test_cli_fuzz_exits_with_a_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()

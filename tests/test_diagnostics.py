@@ -204,6 +204,18 @@ def test_weight_equivalence_ball(ball):
     assert rep.rho_min > 0
 
 
+@pytest.mark.parametrize("b", [1e-300, 1e300])
+def test_weight_ratio_past_the_double_range(b):
+    # rho overflows at b = 1e-300 (ratio nan) and underflows to 0 at
+    # b = 1e300 (division by zero); its ratio does not depend on the scale
+    spec = {"kind": "expr", "p_check": "2+1/log(10/s)"}
+    base = verify_weight_equivalence(domain_from_spec(spec))
+    rep = verify_weight_equivalence(domain_from_spec({**spec, "b1": b,
+                                                      "b2": b}))
+    assert rep.ratio == pytest.approx(base.ratio, rel=1e-10)
+    assert rep.passed
+
+
 def test_weight_equivalence_guards(ball):
     for ts in [(), (0.0, 0.5), (0.5, 1.0), (0.5, float("nan")), (-0.2,)]:
         with pytest.raises(DomainError):
@@ -332,9 +344,11 @@ def test_counterexample_report_shape():
     rep = l1ball_counterexample(100)
     assert rep.K_max == 100
     assert len(rep.inclusions) == 2
-    d = rep.as_dict(thin=10)
-    assert len(d["k"]) == 10
-    # the rows are counted back from K_max, so the last one is k = K_max
-    assert d["k"][-1] == 100
+    assert rep.as_dict()["k"] == list(range(1, 101))
+    # from K_max = 2,000 every (K_max // 1000)-th row is kept, counted back
+    # from K_max, so the last one is k = K_max
+    d = l1ball_counterexample(2_500).as_dict()
+    assert d["k"] == list(range(2, 2_501, 2))
+    assert len(d["hardy_partial_sums"]) == 1_250
     with pytest.raises(DomainError):
         l1ball_counterexample(5)

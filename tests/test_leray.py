@@ -396,3 +396,18 @@ def test_moment_table_rerun_determinism():
         domain_from_exponent(expression_profile(EX_PROFILE)),
         SPARSE_M1, SPARSE_M2, _norm_weight) for _ in range(2)]
     assert np.array_equal(sparse[0], sparse[1])
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["domain", "dual"])
+@pytest.mark.parametrize("profile", [
+    expression_profile(EX_PROFILE), expression_profile("40+10*s"),
+    tabulated_profile([0.0, 0.25, 0.5, 0.75, 1.0], [2.0, 3.0, 2.5, 4.0, 3.0])],
+    ids=["expression", "steep", "table"])
+def test_one_column_table_is_the_wide_tables_column(profile, dual):
+    # log_matmul sums a one-column operand as the first of two columns, so
+    # column 0 of a table does not depend on how many columns it has
+    geom = domain_from_exponent(profile)
+    geom = dual_complement(geom) if dual else geom
+    narrow, wide = moment_table(geom, 60, 0), moment_table(geom, 60, 7)
+    assert narrow.log_I.tobytes() == wide.log_I[:, :1].tobytes()
+    assert narrow.err.tobytes() == wide.err[:, :1].tobytes()

@@ -15,8 +15,7 @@ import pytest
 from rlab.errors import DomainError
 from rlab.numerics import (ExtrapolationResult, bessel_i0_log,
                            extrapolate_limit, log_beta, log_gamma, log_matmul,
-                           nested_log_sums, tanh_sinh_indexed,
-                           tanh_sinh_nodes_sym)
+                           nested_log_sums, tanh_sinh_indexed)
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +102,7 @@ def test_nested_log_sums_match_direct_levels():
 
 def test_tanh_sinh_weights_sum_to_one():
     for level in (4, 5, 6, 7):
-        x, xm, w = tanh_sinh_nodes_sym(level)
+        _k, x, xm, w = tanh_sinh_indexed(level)
         assert abs(w.sum() - 1.0) < 1e-12
         assert np.all((x > 0) & (xm > 0))
 
@@ -142,7 +141,7 @@ def test_tanh_sinh_nodes_are_scipy_sigmoids():
 
 
 def test_tanh_sinh_sym_complement():
-    x, xm, w = tanh_sinh_nodes_sym(6)
+    _k, x, xm, w = tanh_sinh_indexed(6)
     mid = np.abs(x - 0.5) < 0.4
     assert np.allclose(x[mid] + xm[mid], 1.0, atol=1e-15)
     # complements keep relative precision where 1 - x underflows

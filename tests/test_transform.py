@@ -57,6 +57,25 @@ def test_grid_validation():
         CoefficientGrid("hardy", {(-1, 0): 1.0})
 
 
+@pytest.mark.parametrize("degree", [1.9, True, "1", math.inf, None])
+def test_grid_json_rejects_non_integer_degrees(degree):
+    # int() took 1.9, true and "1" as degree 1
+    text = json.dumps({"entries": [{"m1": degree, "m2": 1, "re": 1.0}]})
+    with pytest.raises(DomainError, match="degrees must be integers"):
+        CoefficientGrid.from_json(text)
+
+
+def test_grid_json_degrees_are_integers_and_distinct():
+    g = CoefficientGrid.from_json(
+        '{"entries": [{"m1": 1.0, "m2": 2, "re": 1.0}, {"m1": 2, "m2": 1}]}')
+    assert [tuple(map(type, k)) for k in g.entries] == [(int, int)] * 2
+    assert g.entries == {(1, 2): 1.0, (2, 1): 0.0}
+    # a repeated pair kept only its last amplitude
+    with pytest.raises(DomainError, match=r"repeats the degree pair \(1, 1\)"):
+        CoefficientGrid.from_json('{"entries": [{"m1": 1, "m2": 1, "re": 1},'
+                                  ' {"m1": 1.0, "m2": 1, "re": 5}]}')
+
+
 def test_grid_support_sorted():
     g = _grid("hardy", {(2, 0): 1.0, (0, 1): 1.0, (1, 1): 1.0})
     assert g.support == [(0, 1), (1, 1), (2, 0)]
@@ -260,6 +279,16 @@ def test_exp_norm_monotone_in_r(ball):
 def test_exp_norm_rejects_r_past_the_series_limit(ball):
     with pytest.raises(DomainError, match="r <= 1000"):
         exp_norm_sq(ball, 1000.5, 0.5)
+
+
+@pytest.mark.parametrize("m1, r", [(791, "1000.98"), (10 ** 30, r"1e\+30")],
+                         ids=["791", "1e30"])
+def test_omega_rejects_r_past_the_series_limit(egg3, m1, r):
+    # checked before the r nodes are built: at degree 1e30 there would be
+    # about 1e16 of them
+    beta = CoefficientGrid("bergman", {(m1, 0): 1.0})
+    with pytest.raises(DomainError, match=f"not r = {r}$"):
+        bergman_omega_norm_sq(egg3, beta)
 
 
 # ---------------------------------------------------------------------------
