@@ -111,8 +111,10 @@ def egg_profile(p: float, a1: float = 1.0, a2: float = 1.0) -> ExponentProfile:
         raise ExponentOutOfRange("egg exponent must exceed 1")
     if a1 <= 0 or a2 <= 0:
         raise DomainError("egg weights must be positive")
-    b1 = a1 ** (-1.0 / p)
-    b2 = a2 ** (-1.0 / p)
+    try:
+        b1, b2 = a1 ** (-1.0 / p), a2 ** (-1.0 / p)
+    except OverflowError:
+        raise DomainError("egg weights too small: an intercept overflows") from None
     return ExponentProfile("egg", b1, b2,
                            lambda s, _p=float(p): np.full_like(np.asarray(s, float), _p))
 

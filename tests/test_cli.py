@@ -484,6 +484,26 @@ def test_bad_flag_value_names_the_flag(capsys, argv, message):
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["describe", "--domain", '{"kind": "expr", "p_check": "3", '
+      '"b1": Infinity}'], "axis intercepts b1, b2 must be positive and finite"),
+    (["describe", "--domain", '{"kind": "egg", "p": 1.0001, "a1": 1e-310}'],
+     "egg weights too small: an intercept overflows"),
+    (["curvature", "--domain", json.dumps(
+        {"kind": "expr", "p_check": "2+1/log(10/s)", "b1": 1e-300})],
+     "curvatures overflow double precision on this domain"),
+    (["laplace", "--domain", '{"kind": "egg", "p": 3, "a1": 1e-300}',
+      "--coeffs", '{"entries": [{"m1": 3, "m2": 2, "re": 1.0}]}'],
+     "a Laplace coefficient overflows a double"),
+], ids=["infinite-intercept", "egg-intercept", "curvature", "laplace"])
+def test_extreme_intercepts_are_one_line_errors(capsys, argv, message):
+    # an infinite intercept was accepted; an egg intercept past the doubles
+    # and an overflowing Laplace coefficient gave OverflowError tracebacks,
+    # and curvatures whose r^2 leaves the doubles RuntimeWarnings
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_out_of_memory_is_a_one_line_error(capsys, monkeypatch):
     # leray-grid --max 100000000 and counterexample --kmax 100000000000
     # raised numpy's MemoryError; no test allocates for real
