@@ -43,10 +43,13 @@ def F_omega(geom: DomainGeometry, s, t, theta1, theta2):
     Bounded above by 1, with equality only at s = t, angles 0 (strict
     convexity of the domain).
     """
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    return (np.exp(geom.log_r1(s) + geom.log_r1_star(t)) * np.cos(theta1)
-            + np.exp(geom.log_r2(s) + geom.log_r2_star(t)) * np.cos(theta2))
+    return _pairing(geom, s, t, np.cos(theta1), np.cos(theta2))
+
+
+def _pairing(geom: DomainGeometry, s, t, c1, c2):
+    """F_omega from the cosines c1 = cos t1 and c2 = cos t2."""
+    return (np.exp(geom.log_r1(s) + geom.log_r1_star(t)) * c1
+            + np.exp(geom.log_r2(s) + geom.log_r2_star(t)) * c2)
 
 
 def _ball_pairing(s, t, c1, c2):
@@ -113,7 +116,7 @@ def verify_comparison_lemma(geom: DomainGeometry, n_samples: int = 100_000,
 
     # the n draws, then the four angle corners over an 81 x 81 (s, t) grid
     n, g, h = n_samples, np.linspace(0.005, 0.995, 81), 0.5 * math.pi
-    s, t, th1, th2 = buf = np.empty((4, n + 4 * g.size ** 2))
+    s, t, c1, c2 = buf = np.empty((4, n + 4 * g.size ** 2))
     rng = np.random.default_rng(seed)
     for row in buf:
         # rng.uniform(0, h, n) is 0 + h u of these u, which is h u exactly
@@ -123,10 +126,11 @@ def verify_comparison_lemma(geom: DomainGeometry, n_samples: int = 100_000,
     blocks[:2] = np.reshape(np.meshgrid(g, g), (2, 1, -1))
     blocks[2:] = np.reshape([[0.0, 0.0, h, h], [0.0, h, 0.0, h]], (2, 4, 1))
 
-    one_minus_fo = F_omega(geom, s, t, th1, th2)
+    # both pairings read the cosines, taken once in place of the angles
+    np.cos(buf[2:], out=buf[2:])
+    one_minus_fo = _pairing(geom, s, t, c1, c2)
     np.subtract(1.0, one_minus_fo, out=one_minus_fo)
-    # the ball's pairing reads the cosines, taken in place of the angles
-    one_minus_fb = _ball_pairing(s, t, *np.cos(buf[2:], out=buf[2:]))
+    one_minus_fb = _ball_pairing(s, t, c1, c2)
     np.subtract(1.0, one_minus_fb, out=one_minus_fb)
     keep = one_minus_fb > 1e-12
     ratio = one_minus_fo[keep] / one_minus_fb[keep]

@@ -1,8 +1,8 @@
 """Shared numerical kernels.
 
-The nested tanh-sinh rule on (0, 1), log_matmul (the library's one log-space
-product), log-Gamma/Beta and log I0 (from scipy.special; log I0 is public API
-only) and sequence-limit extrapolation.
+The nested tanh-sinh rule on (0, 1), built once a level, log_matmul (the one
+log-space product), log-Gamma/Beta and log I0 (scipy.special's gammaln and
+i0e; log I0 is public API only) and sequence-limit extrapolation.
 scipy.special is imported inside the functions that call it, at their first
 call, so importing the package loads numpy but no scipy; neither does building
 any geometry or its dual, and no verb on a table loads scipy's interpolate.
@@ -24,6 +24,9 @@ the level L - 1 sum, and the gap between the two is the error estimate.
 
 from __future__ import annotations
 
+import functools
+import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -47,10 +50,13 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 _TS_TMAX = 6.5  # |t| beyond which weights underflow double range
+_EXP_MAX = math.log(sys.float_info.max)  # math.exp overflows past it
 
 
+@functools.lru_cache(maxsize=16)
 def tanh_sinh_indexed(level: int):
-    """Tanh-sinh rule on (0, 1) with step h = 2^-level, as (k, x, 1 - x, w).
+    """Tanh-sinh rule on (0, 1) with step h = 2^-level, as (k, x, 1 - x, w):
+    read-only arrays, built on a level's first call and then reused.
 
     Node k sits at t = k h.  The complement 1 - x is computed directly, to
     full relative accuracy where it underflows the spacing of doubles
@@ -58,20 +64,21 @@ def tanh_sinh_indexed(level: int):
     Nodes whose x or 1 - x is 0 in double precision are dropped; the
     double-exponential weight decay makes that truncation negligible.
     """
-    from scipy.special import expit
-
     h = 2.0 ** (-level)
     k = np.arange(-int(_TS_TMAX / h), int(_TS_TMAX / h) + 1)
     t = k * h
     with np.errstate(over="ignore"):
         u = np.pi * np.sinh(t)
-        # sigmoid form keeps relative accuracy for nodes near 0, which
-        # matters for integrands with an endpoint singularity there
-        x = expit(u)
-        xm = expit(-u)
+        # sigmoid form keeps relative accuracy for nodes near 0, which matters
+        # for endpoint singularities; libm's exp makes it scipy's expit exactly
+        x, xm = (np.array([1.0 / (1.0 + math.exp(-v)) if v >= -_EXP_MAX
+                           else 0.0 for v in vs.tolist()]) for vs in (u, -u))
         w = 0.25 * np.pi * h * np.cosh(t) / np.cosh(0.5 * u) ** 2
     keep = (x > 0.0) & (xm > 0.0) & (w > 1e-320)
-    return k[keep], x[keep], xm[keep], w[keep]
+    rule = k[keep], x[keep], xm[keep], w[keep]
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 def nested_log_sums(log_terms: np.ndarray, k: np.ndarray):
@@ -98,6 +105,12 @@ _FLOOR = 1e-280  # smallest scaled sum taken from the product
 _CUT = -700.0  # scaled log below which a factor is dropped, a term clipped
 
 
+def _scale(c: np.ndarray) -> np.ndarray:
+    """np.nan_to_num(c, neginf=0.0), in place: a row with no terms scales by 0."""
+    np.copyto(c, 0.0, where=~(c > -np.inf))
+    return np.minimum(c, sys.float_info.max, out=c)
+
+
 def log_matmul(log_a: np.ndarray, log_b: np.ndarray) -> np.ndarray:
     """log sum_k exp(log_a[i, k] + log_b[k, j]), shape (n_i, n_j): one einsum
     (in the calling thread, not BLAS) with rows and columns scaled by their
@@ -115,22 +128,22 @@ def log_matmul(log_a: np.ndarray, log_b: np.ndarray) -> np.ndarray:
     one column is summed as the first of two: bits do not move with width."""
     if log_b.shape[1] == 1:
         return log_matmul(log_a, np.repeat(log_b, 2, axis=1))[:, :1]
-    # a row or column with no terms (all -inf) takes the scale 0
-    ca = np.nan_to_num(log_a.max(axis=1, keepdims=True), neginf=0.0)
-    cb = np.nan_to_num(log_b.max(axis=0, keepdims=True), neginf=0.0)
+    ca = _scale(log_a.max(axis=1, keepdims=True))
+    cb = _scale(log_b.max(axis=0, keepdims=True))
     a, b = log_a - ca, log_b - cb
     np.putmask(a, a < _CUT, -np.inf)  # exp gives 0: see the docstring
     np.putmask(b, b < _CUT, -np.inf)
     prod = np.einsum("ik,kj->ij", np.exp(a, out=a), np.exp(b, out=b))
-    i, j = np.nonzero(~(prod >= _FLOOR))
+    ok = prod >= _FLOOR
+    i, j = np.nonzero(np.logical_not(ok, out=ok))  # below the floor, or NaN
     chunk = max(1, (1 << 16) // log_a.shape[1])  # (chunk, n_k) terms at once
     log_bt = np.ascontiguousarray(log_b.T) if i.size else None
     with np.errstate(divide="ignore"):
-        out = np.log(prod) + (ca + cb)
+        out = np.add(np.log(prod, out=prod), ca + cb, out=prod)
         for lo in range(0, i.size, chunk):
             ii, jj = i[lo:lo + chunk], j[lo:lo + chunk]
             terms = log_a[ii] + log_bt[jj]
-            mx = np.nan_to_num(terms.max(axis=1, keepdims=True), neginf=0.0)
+            mx = _scale(terms.max(axis=1, keepdims=True))
             terms -= mx
             # exp is slow where it underflows, and a term 700 nats below
             # the peak adds nothing; -inf (no term) stays

@@ -12,6 +12,7 @@ exact constant 1/4 that appears in front of every formula below.
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 import numbers
@@ -23,7 +24,7 @@ import numpy as np
 from .errors import DomainError, IndexOutOfTable
 from .geometry import DomainGeometry, dual_complement
 from .leray import MomentTable, _log_moment_sums
-from .numerics import (log_gamma, log_matmul, nested_log_sums,
+from .numerics import (_EXP_MAX, log_gamma, log_matmul, nested_log_sums,
                        tanh_sinh_indexed)
 
 __all__ = [
@@ -42,6 +43,8 @@ _SIDES = ("hardy", "bergman", "laplace")
 _LOG4 = math.log(4.0)
 _TAIL_NATS = 60.0  # the dropped exponential-series tail is e^-60 below e^{2r}
 _R_LIMIT = 1000.0  # largest r summed; the work grows like N^2, N ~ r + 8 sqrt(r)
+_MAX_DEGREE = 1e300  # keeps 2 m log r (|log r| < 745) and log Gamma(2 m) finite
+_leggauss = functools.cache(np.polynomial.legendre.leggauss)  # on first use
 
 
 @dataclass(frozen=True)
@@ -57,6 +60,9 @@ class CoefficientGrid:
         for (m1, m2) in self.entries:
             if m1 < 0 or m2 < 0 or m1 != int(m1) or m2 != int(m2):
                 raise DomainError(f"invalid index ({m1},{m2})")
+            if max(m1, m2) > _MAX_DEGREE:
+                raise DomainError(f"degrees must be at most {_MAX_DEGREE:g}"
+                                  f": the norms' sums overflow past it")
 
     @property
     def support(self):
@@ -124,17 +130,28 @@ def _log_abs_sq(amps) -> np.ndarray:
                      for v in amps])
 
 
+def _logsumexp(a) -> float:
+    """scipy.special.logsumexp(a) of a real vector, bit for bit: scipy 1.17's
+    numpy steps (the maxima counted, not summed), without its dispatch."""
+    a = np.asarray(a, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        mx = a.max(initial=-np.inf)     # no terms: the sum is -inf
+        top = a == mx
+        s = np.exp(np.where(top, -np.inf, a) - mx).sum()
+        m = np.count_nonzero(top)
+        out = np.log1p(s if s == 0 else s / m) + np.log(m) + mx
+        return float(out if np.isfinite(out) else np.log(np.exp(a).sum()))
+
+
 def _sum_report(log_terms: np.ndarray, rel_errs: np.ndarray,
                 convention: str) -> NormReport:
     """Reduce the log terms over a support to a report.  err_est sums each
     term times its relative error.  Sums stay in log space, so value and
     err_est may read inf where log_value is still finite; rel_err comes from
     the logs.  A sum with no error term has rel_err 0."""
-    from scipy.special import logsumexp
-
-    log_err = float(logsumexp([t + math.log(e) for t, e in zip(
-        log_terms.tolist(), rel_errs.tolist()) if e > 0.0]))
-    logv = float(logsumexp(log_terms))
+    log_err = _logsumexp([t + math.log(e) for t, e in zip(
+        log_terms.tolist(), rel_errs.tolist()) if e > 0.0])
+    logv = _logsumexp(log_terms)
     with np.errstate(over="ignore"):
         rel_err = float(np.exp(log_err - logv)) if log_err > -math.inf else 0.0
         return NormReport(float(np.exp(logv)), logv, float(np.exp(log_err)),
@@ -189,12 +206,17 @@ def _laplace_log_scales(table: MomentTable, keys) -> np.ndarray:
 
 def invert_laplace(geom: DomainGeometry, t: CoefficientGrid,
                    table: MomentTable) -> CoefficientGrid:
-    """Inverse of laplace_map: a = 4 conj(t) m1! m2! / I(m1, m2)."""
+    """Inverse of laplace_map: a = 4 conj(t) m1! m2! / I(m1, m2).  A
+    DomainError names the first entry whose a overflows a double."""
     if t.side != "laplace":
         raise DomainError("invert_laplace expects a laplace-side grid")
-    return CoefficientGrid("hardy", {
-        key: amp.conjugate() * math.exp(-scale) for (key, amp), scale in zip(
-            t.entries.items(), _laplace_log_scales(table, t.entries).tolist())})
+    entries = {key: amp.conjugate() * math.exp(-scale) if scale >= -_EXP_MAX
+               else math.inf for (key, amp), scale in zip(t.entries.items(),
+               _laplace_log_scales(table, t.entries).tolist())}
+    bad = [key for key, amp in entries.items() if not cmath.isfinite(amp)]
+    if bad:
+        raise DomainError(f"the inverse of entry {bad[0]} overflows a double")
+    return CoefficientGrid("hardy", entries)
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +313,17 @@ def _series_degree(r_max: float) -> int:
     return int(n[np.argmax(log_tail <= 2.0 * r_max - _TAIL_NATS)])
 
 
+def _antidiagonals(mu: np.ndarray) -> np.ndarray:
+    """D[l, i, j] = mu[l, j, i - j], -inf for j > i, over n-square levels: in
+    a C-ordered copy (a view on mu's own layout reads other entries) it is
+    i + j (n - 1) elements into its level, inside it for every i, j."""
+    mu = np.ascontiguousarray(mu)
+    s_level, s_row, s_col = mu.strides
+    j = np.arange(mu.shape[-1])
+    return np.where(j[:, None] >= j, np.lib.stride_tricks.as_strided(
+        mu, mu.shape, (s_level, s_col, s_row - s_col), writeable=False), -np.inf)
+
+
 def _log_exp_norms(geom: DomainGeometry, rs: np.ndarray, lr1t: np.ndarray,
                    lr2t: np.ndarray, level: int) -> np.ndarray:
     """log E(r, t) on the outer product of r values and t points, given
@@ -322,14 +355,12 @@ def _log_exp_norms(geom: DomainGeometry, rs: np.ndarray, lr1t: np.ndarray,
     log_f = 2.0 * log_gamma(deg + 1.0)
     log_mu = _log_moment_sums(geom, deg[:, None], deg[None, :], level=level)
     log_mu -= log_f[:, None] + log_f
-    j = np.arange(n + 1)
-    k = j[:, None] - j          # k = n - j in row n, column j
     x, y = np.minimum(lr1t, lr2t), np.maximum(lr1t, lr2t)
     pows = _log_powers(deg, x - y)
     log_c = np.empty((2, n + 1, lr1t.size))
     first = lr1t <= lr2t
     for cols, mu in ((first, log_mu), (~first, log_mu.swapaxes(1, 2))):
-        d = np.where(k >= 0, mu[:, j, k], -np.inf).reshape(-1, n + 1)
+        d = _antidiagonals(mu).reshape(-1, n + 1)
         log_c[:, :, cols] = log_matmul(d, pows[:, cols]).reshape(2, n + 1, -1)
     log_c = (log_c + _log_powers(deg, y)).swapaxes(0, 1).reshape(n + 1, -1)
     lam = log_c.max(axis=1)
@@ -398,7 +429,7 @@ def bergman_omega_norm_sq(geom: DomainGeometry,
 
     peak = ms[-1] + 1.25
     r_max = peak + 40.0 + 6.0 * math.sqrt(peak + 1.0)
-    gx, gw = np.polynomial.legendre.leggauss(12)
+    gx, gw = _leggauss(12)
     n_panels = int(math.ceil(r_max / max(2.0, math.sqrt(peak))))
     half = 0.5 * r_max / n_panels
     # the largest r node: past the limit, raise before building any r array

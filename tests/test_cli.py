@@ -504,6 +504,24 @@ def test_extreme_intercepts_are_one_line_errors(capsys, argv, message):
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+_R_LIMIT_LINE = ("exponential norms are summed for r <= 1000 only (omega "
+                 "norms up to total degree about 790), not r = 2e+200")
+_DEGREE_LINE = "degrees must be at most 1e+300: the norms' sums overflow past it"
+
+
+@pytest.mark.parametrize("degree, message", [
+    ("1e308", _DEGREE_LINE), ("1e307", _DEGREE_LINE),
+    ("1e200", _R_LIMIT_LINE)])
+def test_huge_bergman_degrees_are_one_line_errors(capsys, degree, message):
+    # at 1e308 nine RuntimeWarnings came first, then "cannot convert float
+    # NaN to integer"; 1e200 still reaches the omega norm's r limit
+    coeffs = ('{"side": "bergman", "entries": [{"m1": %s, "m2": %s, "re": 1}]}'
+              % (degree, degree))
+    code, out, err = run(capsys, "norms", "--domain", '{"kind":"egg","p":3}',
+                         "--coeffs", coeffs)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_out_of_memory_is_a_one_line_error(capsys, monkeypatch):
     # leray-grid --max 100000000 and counterexample --kmax 100000000000
     # raised numpy's MemoryError; no test allocates for real
@@ -626,11 +644,13 @@ _DOMAINS = st.one_of(
 
 def _coefficients(side):
     # hardy-side degrees stay at most 40; fractional, negative, boolean,
-    # text and repeated degrees on both sides, 1e30 on the bergman side
+    # text and repeated degrees on both sides, 1e30 to 1e308 on the bergman
+    # side
     degrees = st.one_of(st.integers(-1, 40), st.sampled_from([1.0, 1.9]),
                         st.booleans(), st.just("1"))
     if side == "bergman":
-        degrees = st.one_of(degrees, st.just(1e30))
+        degrees = st.one_of(degrees, st.sampled_from([1e30, 1e200, 1e307,
+                                                      1e308]))
     entry = st.fixed_dictionaries({"m1": degrees, "m2": degrees},
                                   optional={"re": _REALS, "im": _REALS})
     entries = st.lists(entry, max_size=3).flatmap(

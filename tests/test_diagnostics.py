@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rlab.diagnostics import (COMPARISON_SLACK, ComparisonReport, F_omega,
-                              _ball_pairing, egg_comparison_constant,
+                              _ball_pairing, _pairing, egg_comparison_constant,
                               l1ball_counterexample, l1ball_log_moment,
                               verify_comparison_lemma,
                               verify_weight_equivalence)
@@ -48,6 +48,20 @@ def test_f_ball_helper_consistency(ball):
     assert np.allclose(F_omega(ball, s, t, th1, th2),
                        _ball_pairing(s, t, np.cos(th1), np.cos(th2)),
                        atol=1e-13)
+
+
+@pytest.mark.parametrize("spec, n, g", [
+    ('{"kind": "egg", "p": 4}', 100_000, 81),
+    ('{"kind": "expr", "p_check": "2+1/log(10/s)"}', 300, 9)])
+def test_sampler_pairing_is_f_omega_bit_for_bit(spec, n, g):
+    # the sampler takes the cosines once, in place on its (4, n + 4 g^2)
+    # buffer, and hands them to _pairing: F_omega's bits on the angles
+    geom = domain_from_spec(spec)
+    s, t, c1, c2 = buf = np.random.default_rng(g).random((4, n + 4 * g * g))
+    buf[2:] *= 0.5 * math.pi
+    want = F_omega(geom, s, t, buf[2], buf[3])
+    np.cos(buf[2:], out=buf[2:])
+    assert _pairing(geom, s, t, c1, c2).tobytes() == want.tobytes()
 
 
 @settings(max_examples=500, deadline=None)

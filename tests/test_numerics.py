@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 from rlab.errors import DomainError
-from rlab.numerics import (ExtrapolationResult, bessel_i0_log,
-                           extrapolate_limit, log_beta, log_gamma, log_matmul,
-                           nested_log_sums, tanh_sinh_indexed)
+from rlab.numerics import (ExtrapolationResult, _CUT, _FLOOR, _scale,
+                           bessel_i0_log, extrapolate_limit, log_beta,
+                           log_gamma, log_matmul, nested_log_sums,
+                           tanh_sinh_indexed)
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +141,17 @@ def test_tanh_sinh_nodes_are_scipy_sigmoids():
             assert np.array_equal(got, want)
 
 
+def test_tanh_sinh_rule_is_built_once_and_read_only():
+    # a rule is built on its level's first call; later calls share its
+    # arrays, so no caller may write to them
+    rule = tanh_sinh_indexed(7)
+    assert all(a is b for a, b in zip(tanh_sinh_indexed(7), rule))
+    for a in rule:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
+
+
 def test_tanh_sinh_sym_complement():
     _k, x, xm, w = tanh_sinh_indexed(6)
     mid = np.abs(x - 0.5) < 0.4
@@ -251,6 +263,58 @@ def test_log_matmul_zero_columns():
     log_a, log_b = _random_operands(4)
     got = log_matmul(log_a, log_b[:, :0])
     assert got.shape == (9, 0)
+
+
+def _nan_to_num_log_matmul(log_a, log_b):
+    """log_matmul with its scales from np.nan_to_num and a fresh array for
+    each step, as it was: the oracle for the in-place form."""
+    ca = np.nan_to_num(log_a.max(axis=1, keepdims=True), neginf=0.0)
+    cb = np.nan_to_num(log_b.max(axis=0, keepdims=True), neginf=0.0)
+    a, b = log_a - ca, log_b - cb
+    np.putmask(a, a < _CUT, -np.inf)
+    np.putmask(b, b < _CUT, -np.inf)
+    prod = np.einsum("ik,kj->ij", np.exp(a, out=a), np.exp(b, out=b))
+    i, j = np.nonzero(~(prod >= _FLOOR))
+    chunk = max(1, (1 << 16) // log_a.shape[1])
+    log_bt = np.ascontiguousarray(log_b.T)
+    with np.errstate(divide="ignore"):
+        out = np.log(prod) + (ca + cb)
+        for lo in range(0, i.size, chunk):
+            ii, jj = i[lo:lo + chunk], j[lo:lo + chunk]
+            terms = log_a[ii] + log_bt[jj]
+            mx = np.nan_to_num(terms.max(axis=1, keepdims=True), neginf=0.0)
+            terms -= mx
+            np.maximum(terms, _CUT, out=terms, where=terms > -np.inf)
+            np.exp(terms, out=terms)
+            out[ii, jj] = np.log(terms.sum(axis=1)) + mx[:, 0]
+    return out
+
+
+def test_scale_is_nan_to_num_in_place():
+    c = np.array([[1.5], [-np.inf], [np.nan], [np.inf], [-0.0], [-1e308]])
+    want = np.nan_to_num(c, neginf=0.0)
+    got = _scale(c)
+    assert got is c and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("operands", ["random", "fallback"])
+def test_log_matmul_scales_match_the_nan_to_num_form(operands):
+    # rows and columns that are all -inf, hold a NaN or hold +inf, through
+    # the einsum and through the term-by-term fallback: the same bits
+    log_a, log_b = (_random_operands(7) if operands == "random"
+                    else _peaks_far_below_the_scales())
+    log_a[1] = -np.inf
+    log_a[2, 5], log_b[5, 1] = np.nan, np.nan
+    log_a[0, 3], log_b[3, 2] = np.inf, np.inf
+    log_b[:, -1] = -np.inf
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = log_matmul(log_a, log_b)
+        want = _nan_to_num_log_matmul(log_a, log_b)
+    assert got.tobytes() == want.tobytes()
+    # the diagonal of the unaltered operands takes the fallback
+    log_a, log_b = _peaks_far_below_the_scales()
+    assert log_matmul(log_a, log_b).tobytes() == _nan_to_num_log_matmul(
+        log_a, log_b).tobytes()
 
 
 def test_log_matmul_rerun_is_bit_identical():
@@ -398,6 +462,17 @@ def test_import_does_not_load_scipy():
         " if m.startswith(('scipy.special', 'scipy.interpolate'))]);"
         f" rlab.dual_complement(rlab.domain_from_spec({_TABLE!r}));"
         f" print({_SCIPY_MODULES})").splitlines() == ["[]", "[]"]
+
+
+def test_node_rules_and_norm_reports_do_not_load_scipy_special():
+    # the rule's sigmoids and the reports' logsumexp are numpy and libm
+    assert _fresh_python(
+        "import sys; import numpy as np;"
+        " from rlab.numerics import tanh_sinh_indexed;"
+        " from rlab.transform import _sum_report;"
+        " [tanh_sinh_indexed(level) for level in range(1, 9)];"
+        " _sum_report(np.array([0.0, -1.0]), np.array([1e-9, 0.0]), 'c');"
+        " print('scipy.special' in sys.modules)") == "False"
 
 
 def test_table_verbs_do_not_load_scipy():

@@ -19,7 +19,8 @@ from rlab.geometry import (domain_from_exponent, dual_complement, egg_profile,
 from rlab.leray import _radial_log_nodes, moment_table
 from rlab.numerics import (_FLOOR, bessel_i0_log, log_gamma, log_matmul,
                            nested_log_sums, tanh_sinh_indexed)
-from rlab.transform import (CoefficientGrid, _log_exp_norms, _series_degree,
+from rlab.transform import (_R_LIMIT, CoefficientGrid, _antidiagonals,
+                            _log_exp_norms, _logsumexp, _series_degree,
                             bergman_nu_norm_sq, bergman_omega_norm_sq,
                             exp_norm_sq, hardy_norm_sq, invert_laplace,
                             laplace_image_nu_norm_sq, laplace_map)
@@ -74,6 +75,24 @@ def test_grid_json_degrees_are_integers_and_distinct():
     with pytest.raises(DomainError, match=r"repeats the degree pair \(1, 1\)"):
         CoefficientGrid.from_json('{"entries": [{"m1": 1, "m2": 1, "re": 1},'
                                   ' {"m1": 1.0, "m2": 1, "re": 5}]}')
+
+
+@pytest.mark.parametrize("degree", [1e308, 1e307])
+def test_grid_rejects_degrees_whose_sums_overflow(degree):
+    # the norms form m1 + m2 and 2 m log r: at 1e308 they overflowed with
+    # RuntimeWarnings, and a NaN reached int()
+    for key in ((int(degree), int(degree)), (0, int(degree))):
+        with pytest.raises(DomainError, match=r"at most 1e\+300"):
+            CoefficientGrid("bergman", {key: 1.0})
+
+
+def test_degree_1e200_reaches_the_omega_r_limit(egg3):
+    # 1e300 and below keep the norms' sums finite: the nu norm is summed,
+    # and the omega norm names its r limit
+    beta = _grid("bergman", {(10 ** 200, 10 ** 200): 1.0})
+    assert math.isfinite(bergman_nu_norm_sq(egg3, beta).log_value)
+    with pytest.raises(DomainError, match=r"not r = 2e\+200$"):
+        bergman_omega_norm_sq(egg3, beta)
 
 
 def test_grid_support_sorted():
@@ -147,6 +166,21 @@ def test_laplace_map_matches_the_per_key_formula():
         assert back.entries[key] == amp.conjugate() * math.exp(-scale[key])
 
 
+def test_invert_laplace_names_the_entry_that_overflows(egg3):
+    # laplace_map of degree (100, 100) underflows to 0 (log scale -823.5);
+    # its inverse computed math.exp(823.5), an OverflowError.  A finite
+    # scale times an amplitude near the largest double overflows too
+    tab = moment_table(egg3, 100, 100)
+    image = laplace_map(egg3, _grid("hardy", {(1, 2): 1.0, (100, 100): 1.0}),
+                        tab)
+    assert image.entries[(100, 100)] == 0.0
+    big = _grid("laplace", {(0, 0): 1.0, (5, 5): 1e308})
+    for grid, key in ((image, r"\(100, 100\)"), (big, r"\(5, 5\)")):
+        with pytest.raises(DomainError, match=f"^the inverse of entry {key} "
+                           f"overflows a double$"):
+            invert_laplace(egg3, grid, tab)
+
+
 def test_one_log_gamma_call_per_map_inverse_and_nu_report(ball, monkeypatch):
     calls = []
 
@@ -188,6 +222,30 @@ def test_laplace_side_guards(ball):
         laplace_map(ball, _grid("laplace", {(0, 0): 1.0}), tab)
     with pytest.raises(DomainError):
         invert_laplace(ball, _grid("hardy", {(0, 0): 1.0}), tab)
+
+
+def test_logsumexp_is_scipys_bit_for_bit():
+    # the norm reports' logsumexp against scipy.special's, on seeded random
+    # vectors (sizes 1-300, scales 1-1000, repeated maxima, -inf entries)
+    # and the edge cases
+    from scipy.special import logsumexp
+
+    rng = np.random.default_rng(24)
+    cases = [[], [-math.inf] * 3, [1.0, math.inf, 2.0], [0.5, math.nan, 2.0],
+             [709.9, 3.0, 709.9, 709.9], [1e308, 1e308], [-1e308, -1e308],
+             [1e308, -1e308]]
+    for _ in range(20_000):
+        a = rng.normal(scale=rng.uniform(1.0, 1000.0),
+                       size=rng.integers(1, 301))
+        if rng.random() < 0.3:
+            a[rng.integers(0, a.size, size=3)] = a.max()
+        if rng.random() < 0.3:
+            a[rng.random(a.size) < 0.2] = -math.inf
+        cases.append(a if rng.random() < 0.5 else a.tolist())
+    for a in cases:
+        with np.errstate(over="ignore"):  # scipy's -1e308 - 1e308
+            want = np.float64(logsumexp(a))
+        assert np.float64(_logsumexp(a)).tobytes() == want.tobytes(), a
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +425,22 @@ def test_exp_norm_at_the_ends_of_a_dual(t):
         want = _log_exp_norms(dual, np.array([r]), np.array([lr1t]),
                               np.array([lr2t]), 6)[0, 0, 0]
         assert exp_norm_sq(dual, r, t) == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 131, 345, _series_degree(_R_LIMIT) - 3])
+def test_antidiagonals_match_the_fancy_gather(n):
+    # D[l, i, j] = mu[l, j, i - j] (-inf for j > i) in both orientations,
+    # from a moment box laid out as _log_moment_sums leaves it (levels
+    # innermost), against the fancy gather it replaces
+    sums = np.random.default_rng(n).normal(size=(2, n + 1, n + 1))
+    j = np.arange(n + 1)
+    mu = sums[:, j[:, None], j]
+    assert not mu.flags.c_contiguous
+    k = j[:, None] - j
+    for m in (mu, mu.swapaxes(1, 2)):
+        got = _antidiagonals(m)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == np.where(k >= 0, m[:, j, k], -np.inf).tobytes()
 
 
 def test_exp_series_tail_is_negligible(kernel_domain):
