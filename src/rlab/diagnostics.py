@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import DomainError, HypothesisNotMet
 from .geometry import DomainGeometry
-from .numerics import log_gamma
-from .transform import _log_exp_norms
+from .numerics import log_beta, log_gamma
+from .transform import exp_norm_sq
 
 __all__ = [
     "F_omega",
@@ -176,11 +176,10 @@ def verify_weight_equivalence(geom: DomainGeometry,
     if ts.ndim != 1 or ts.size == 0 or not np.all((ts > 0.0) & (ts < 1.0)):
         raise DomainError("t samples must be a non-empty list inside (0, 1)")
     rs = np.geomspace(*WEIGHT_R_RANGE, 12)
-    lr1t, lr2t = geom.log_r1_star(ts), geom.log_r2_star(ts)
-    log_e = _log_exp_norms(geom, rs, lr1t, lr2t, 6)[0]
-    log_z = 0.5 * np.logaddexp(2.0 * lr1t, 2.0 * lr2t)
+    log_z = 0.5 * np.logaddexp(2.0 * geom.log_r1_star(ts),
+                               2.0 * geom.log_r2_star(ts))
     log_vals = (-2.0 * rs[:, None] + 1.5 * (np.log(rs)[:, None] + log_z)
-                + log_e)
+                + exp_norm_sq(geom, rs, ts))
     with np.errstate(over="ignore"):
         vals = np.exp(log_vals)
     lo, hi = float(vals.min()), float(vals.max())
@@ -200,8 +199,7 @@ def verify_weight_equivalence(geom: DomainGeometry,
 def l1ball_log_moment(m1: int, m2: int) -> float:
     """log of (2 m1)! (2 m2)! / (2 m1 + 2 m2 + 1)!, the exact boundary
     moment of the domain |z1| + |z2| < 1."""
-    return (log_gamma(2.0 * m1 + 1.0) + log_gamma(2.0 * m2 + 1.0)
-            - log_gamma(2.0 * m1 + 2.0 * m2 + 2.0))
+    return log_beta(2.0 * m1 + 1.0, 2.0 * m2 + 1.0)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (DomainError, ExponentOutOfRange, NonEvaluableProfile)
-from .exprdsl import Expr, parse_expr
+from .exprdsl import parse_expr
 from .numerics import extrapolate_limit
 
 __all__ = [
@@ -119,10 +119,9 @@ def egg_profile(p: float, a1: float = 1.0, a2: float = 1.0) -> ExponentProfile:
                            lambda s, _p=float(p): np.full_like(np.asarray(s, float), _p))
 
 
-def expression_profile(source: str | Expr, b1: float = 1.0,
+def expression_profile(source: str, b1: float = 1.0,
                        b2: float = 1.0) -> ExponentProfile:
-    expr = source if isinstance(source, Expr) else parse_expr(source)
-    return ExponentProfile("expression", b1, b2, expr)
+    return ExponentProfile("expression", b1, b2, parse_expr(source))
 
 
 def tabulated_profile(s_samples, p_samples, b1: float = 1.0,
@@ -287,7 +286,6 @@ class CurvatureTriple:
     kappa1: float | np.ndarray
     kappa2: float | np.ndarray
     kappa3: float | np.ndarray
-    kappa_ratio: float | np.ndarray
     p_recovered: float | np.ndarray
 
 
@@ -506,8 +504,7 @@ def curvatures_at(geom: DomainGeometry, s) -> CurvatureTriple:
     sq = np.sqrt(q)
     k1, k2 = s / (r1 * r1 * sq), sm / (r2 * r2 * sq)
     k3 = (geom.p_at(s) - 1.0) * s * sm / (r1 * r1 * r2 * r2) * q ** -1.5
-    ratio = k3 / (k1 * k2)
-    out = (k1, k2, k3, ratio, 1.0 + ratio * sq)
+    out = (k1, k2, k3, 1.0 + k3 / (k1 * k2) * sq)
     return CurvatureTriple(*(map(float, out) if s.ndim == 0 else out))
 
 

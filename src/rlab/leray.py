@@ -26,7 +26,6 @@ from .numerics import (extrapolate_limit, log_gamma, log_matmul,
 __all__ = [
     "MomentTable",
     "LerayNormGrid",
-    "RayLimit",
     "RayDiagnostic",
     "BoundednessReport",
     "AxisProbe",
@@ -39,6 +38,9 @@ __all__ = [
 
 _LEVEL = 7  # ~1600 nodes; moment integrals accurate to ~1e-14
 _CONVERGED = 1e-7  # largest level-7 vs level-6 gap in log I taken as converged
+# a degree box holds at most 10^7 entries (M = 3161 if square): a norm
+# grid peaks near 60-115 bytes an entry, so about 1 GiB
+_MAX_ENTRIES = 10_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -128,10 +130,14 @@ def moment_table(geom: DomainGeometry, M1: int, M2: int) -> MomentTable:
     """Tabulate log I(m1, m2) for the degree box 0..M1 x 0..M2.
 
     See _log_moments for the closed form, the quadrature and its error
-    estimate.  Non-converged entries are flagged, never fatal.
+    estimate.  Non-converged entries are flagged, never fatal.  A box of
+    more than _MAX_ENTRIES entries is a DomainError.
     """
     if M1 < 0 or M2 < 0:
         raise DomainError("degree bounds must be nonnegative")
+    if (M1 + 1) * (M2 + 1) > _MAX_ENTRIES:
+        raise DomainError(f"the degree box 0..{M1} x 0..{M2} has more than "
+                          f"{_MAX_ENTRIES:,} entries")
     log_i, err = _log_moments(geom, np.arange(M1 + 1)[:, None],
                               np.arange(M2 + 1)[None, :])
     return MomentTable(M1, M2, log_i, err, err <= _CONVERGED)
@@ -186,30 +192,16 @@ def _leray_entries(geom: DomainGeometry, dual: DomainGeometry,
 # asymptotic predictors and reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RayLimit:
-    """Predicted limit of ||L||^2 along m1/m2 -> x."""
-
-    x: float
-    s: float
-    value: float | None
-    axis_case: bool = False
-
-
-def ray_limit_predictor(geom: DomainGeometry, x: float) -> RayLimit:
-    """Limit (1/2) sqrt(p(s) p*(s)) at s = x/(1+x) along the ray m1/m2 -> x.
-
-    The two axis rays (x = 0 and x = inf) have no closed-form limit here;
-    they are flagged axis_case and handled empirically by axis_limit_probe.
-    """
+def ray_limit_predictor(geom: DomainGeometry, x: float) -> float | None:
+    """Limit (1/2) sqrt(p(s) p*(s)) at s = x/(1+x) along the ray m1/m2 -> x,
+    or None on the axis rays x = 0 and inf, which have no closed form here
+    (axis_limit_probe handles them empirically)."""
     if x < 0:
         raise DomainError("ray ratio must be nonnegative")
     if x == 0.0 or math.isinf(x):
-        return RayLimit(x, 0.0 if x == 0.0 else 1.0, None, axis_case=True)
-    s = x / (1.0 + x)
-    p = float(geom.p_at(s))
-    p_star = p / (p - 1.0)
-    return RayLimit(x, s, 0.5 * math.sqrt(p * p_star))
+        return None
+    p = float(geom.p_at(x / (1.0 + x)))
+    return 0.5 * math.sqrt(p * (p / (p - 1.0)))
 
 
 @dataclass(frozen=True)
@@ -267,11 +259,10 @@ def boundedness_report(geom: DomainGeometry, M: int,
         vals = np.exp(grid.log_norm_sq[ms, ns])
         pred = ray_limit_predictor(geom, x)
         res = extrapolate_limit(vals)
-        dev = (abs(res.limit - pred.value) / pred.value
-               if pred.value else None)
+        dev = abs(res.limit - pred) / pred if pred else None
         diagnostics.append(RayDiagnostic(
             x, tuple(ns), tuple(float(v) for v in vals),
-            res.limit, pred.value, dev, res.converged))
+            res.limit, pred, dev, res.converged))
 
     rays_ok = all(d.rel_dev is not None and d.rel_dev < 0.05
                   for d in diagnostics)

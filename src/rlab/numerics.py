@@ -196,16 +196,15 @@ def bessel_i0_log(x):
 @dataclass(frozen=True)
 class ExtrapolationResult:
     limit: float
-    confidence: float
     converged: bool
 
 
 def extrapolate_limit(seq: Sequence[float]) -> ExtrapolationResult:
     """Estimate lim a_n from a finite tail via iterated Aitken acceleration.
 
-    Confidence comes from the decay of successive differences; a tail whose
-    differences fail to shrink is reported converged=False with its raw
-    last value as the limit estimate.
+    The limit is the last entry of the row (the tail itself or an Aitken
+    row) with the smallest trailing difference, and converged says that
+    difference is small.  A tail whose differences fail to shrink is not.
     """
     s = np.asarray(seq, dtype=float)
     if s.size < 4:
@@ -245,8 +244,4 @@ def extrapolate_limit(seq: Sequence[float]) -> ExtrapolationResult:
     first_resid = float(abs(s[1] - s[0]))
     if raw_resid > 1e-9 * scale and raw_resid >= first_resid > 0.0:
         converged = False
-    confidence = float(np.clip(1.0 - best_resid / (raw_resid + best_resid + 1e-300),
-                               0.0, 1.0))
-    if not converged:
-        confidence = min(confidence, 0.5)
-    return ExtrapolationResult(limit, confidence, converged)
+    return ExtrapolationResult(limit, converged)

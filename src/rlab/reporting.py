@@ -1,12 +1,14 @@
 """Deterministic CSV / JSON emission for reports.
 
 CSV values use 17-significant-digit scientific notation so fixtures are
-diff-stable across runs and platforms.
+diff-stable across runs and platforms.  JSON is strict: a non-finite float
+is null, and a report's log_value and rel_err carry the size of a value.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 import sys
 from typing import Iterable, Sequence
@@ -38,8 +40,18 @@ def emit_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _finite(obj):
+    """obj with every non-finite float, in any list or dict, as None."""
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def emit_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=True) + "\n"
+    return json.dumps(_finite(obj), indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
 
 
 def write_text(text: str, out: str | None) -> None:

@@ -370,7 +370,7 @@ def _log_exp_norms(geom: DomainGeometry, rs: np.ndarray, lr1t: np.ndarray,
     return out.reshape(rs.size, 2, lr1t.size).swapaxes(0, 1)
 
 
-def exp_norm_sq(geom: DomainGeometry, r: float, t: float) -> float:
+def exp_norm_sq(geom: DomainGeometry, r, t):
     """log of the squared boundary norm of the exponential e^{<z, .>}
     at z = r (r1*(t), r2*(t)):
 
@@ -380,17 +380,23 @@ def exp_norm_sq(geom: DomainGeometry, r: float, t: float) -> float:
     invariance makes the phases of z irrelevant.  The s-integral is the
     tanh-sinh sum at level 6, taken term for term from the power series
     E(r, t) = (1/4) sum_n r^{2n} c_n(t) over the level's moment sums (see
-    _log_exp_norms); r may be at most 1000.  No error estimate comes with
-    the value: the s-rule's error is not measured here, and the series is
-    cut where its tail is far below the rounding of E.
+    _log_exp_norms).  No error estimate comes with the value: the s-rule's
+    error is not measured here, and the series is cut where its tail is far
+    below the rounding of E.  Scalars give a float; r of shape R and t of
+    shape T give log E on R + T from one kernel call.  Each r must be
+    finite, >= 0 and at most 1000, each t in [0, 1] (NaN is neither).
     """
-    if not 0.0 <= r < math.inf:
+    r, t = np.asarray(r, dtype=float), np.asarray(t, dtype=float)
+    if not np.all((r >= 0.0) & (r < math.inf)):
         raise DomainError("exp_norm_sq needs a finite r >= 0")
-    if not (0.0 <= t <= 1.0):
+    if not np.all((t >= 0.0) & (t <= 1.0)):
         raise DomainError("t must lie in [0, 1]")
-    return float(_log_exp_norms(geom, np.array([float(r)]),
-                                np.array([geom.log_r1_star(t)]),
-                                np.array([geom.log_r2_star(t)]), 6)[0, 0, 0])
+    if not (r.size and t.size):
+        return np.empty(r.shape + t.shape)
+    out = _log_exp_norms(geom, r.ravel(), np.ravel(geom.log_r1_star(t)),
+                         np.ravel(geom.log_r2_star(t)), 6)[0]
+    out = out.reshape(r.shape + t.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def bergman_omega_norm_sq(geom: DomainGeometry,

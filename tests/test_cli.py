@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from rlab import cli
 from rlab.cli import main
 from rlab.diagnostics import l1ball_counterexample
+from rlab.reporting import emit_json
 
 BALL = '{"kind": "egg", "p": 2}'
 EGG4 = '{"kind": "egg", "p": 4}'
@@ -360,25 +361,58 @@ def test_norms_csv_keeps_log_value_past_overflow(capsys):
 def test_norms_of_huge_coefficients(capsys, side, amp):
     # |amp|^2 overflows a double; the sums stay in log space, so log_value
     # is the unit-coefficient value shifted by 2 log amp and value reads inf
-    def norms(re):
+    # strict JSON writes the inf value as null; the CSV still spells it out
+    def norms(re, fmt="json"):
         coeffs = json.dumps({"side": side,
                              "entries": [{"m1": 1, "m2": 1, "re": re}]})
         code, out, err = run(capsys, "norms", "--domain", BALL,
-                             "--coeffs", coeffs, "--format", "json")
+                             "--coeffs", coeffs, "--format", fmt)
         assert code == 0 and err == ""
-        return json.loads(out)
+        return json.loads(out) if fmt == "json" else list(
+            csv.DictReader(io.StringIO(out)))
 
     big, unit = norms(amp), norms(1.0)
     assert set(big) == set(unit)
+    for row in norms(amp, "csv"):
+        assert row["value"] == "inf" and row["err_est"] != "nan"
     for name, rep in big.items():
         assert rep["log_value"] == pytest.approx(
             unit[name]["log_value"] + 2.0 * math.log(amp), rel=1e-14)
-        assert rep["value"] == math.inf
-        assert not math.isnan(rep["err_est"])
+        assert rep["value"] is None
         # err_est may overflow with value; the relative error does not
         assert math.isfinite(rep["rel_err"])
         assert rep["rel_err"] == pytest.approx(unit[name]["rel_err"],
                                                rel=1e-12, abs=0.0)
+
+
+def _strict_json(text):
+    # json.loads accepts NaN, Infinity and -Infinity unless told not to
+    def refuse(name):
+        raise ValueError(f"not strict JSON: {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_emit_json_writes_non_finite_floats_as_null():
+    text = emit_json({"a": [1.5, math.nan], "b": {"c": (-math.inf, 2)}})
+    assert _strict_json(text) == {"a": [1.5, None], "b": {"c": [None, 2]}}
+
+
+@pytest.mark.parametrize("argv, path", [
+    (["norms", "--domain", '{"kind": "egg", "p": 3}', "--coeffs",
+      '{"side": "bergman", "entries": [{"m1": 60, "m2": 60, "re": 1}]}'],
+     ("omega_norm_sq", "value")),
+    (["laplace", "--domain", BALL, "--coeffs",
+      '{"side": "hardy", "entries": [{"m1": 1, "m2": 1, "re": 0}]}'],
+     ("entries", 0, "log_abs"))], ids=["overflow", "zero"])
+def test_json_output_is_strict(capsys, argv, path):
+    # the value at delta(60, 60) overflows to inf, and the log modulus of a
+    # zero amplitude is -inf: each is written as null
+    code, out, _err = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    obj = _strict_json(out)
+    for key in path[:-1]:
+        obj = obj[key]
+    assert obj[path[-1]] is None
 
 
 def test_compare_lemma_pass(capsys):
@@ -504,6 +538,8 @@ def test_extreme_intercepts_are_one_line_errors(capsys, argv, message):
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+_BIG_BOX = ('{"side": "hardy", "entries": [{"m1": 5000, "m2": 2000, '
+            '"re": 1}]}')
 _R_LIMIT_LINE = ("exponential norms are summed for r <= 1000 only (omega "
                  "norms up to total degree about 790), not r = 2e+200")
 _DEGREE_LINE = "degrees must be at most 1e+300: the norms' sums overflow past it"
@@ -520,6 +556,19 @@ def test_huge_bergman_degrees_are_one_line_errors(capsys, degree, message):
     code, out, err = run(capsys, "norms", "--domain", '{"kind":"egg","p":3}',
                          "--coeffs", coeffs)
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["leray-grid", "--max", "20000"], ["leray-rays", "--max", "20000"],
+    ["laplace", "--coeffs", _BIG_BOX], ["norms", "--coeffs", _BIG_BOX]],
+    ids=lambda argv: argv[0])
+def test_oversized_degree_boxes_are_one_line_errors(capsys, argv):
+    # leray-grid --max 20000 was killed for memory; every verb that builds
+    # a degree box refuses one of more than 10^7 entries first
+    code, out, err = run(capsys, argv[0], "--domain", BALL, *argv[1:])
+    box = "0..5000 x 0..2000" if "--coeffs" in argv else "0..20000 x 0..20000"
+    assert (code, out, err) == (1, "", f"error: the degree box {box} has "
+                                f"more than 10,000,000 entries\n")
 
 
 def test_out_of_memory_is_a_one_line_error(capsys, monkeypatch):

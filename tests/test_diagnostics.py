@@ -9,14 +9,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rlab.diagnostics import (COMPARISON_SLACK, ComparisonReport, F_omega,
-                              _ball_pairing, _pairing, egg_comparison_constant,
+from rlab import diagnostics
+from rlab.diagnostics import (COMPARISON_SLACK, WEIGHT_FACTOR, WEIGHT_R_RANGE,
+                              ComparisonReport, F_omega,
+                              WeightEquivalenceReport, _ball_pairing,
+                              _pairing, egg_comparison_constant,
                               l1ball_counterexample, l1ball_log_moment,
                               verify_comparison_lemma,
                               verify_weight_equivalence)
 from rlab.errors import DomainError, HypothesisNotMet
 from rlab.geometry import (domain_from_exponent, domain_from_spec, egg_profile,
                            expression_profile)
+from rlab.numerics import log_gamma
+from rlab.transform import _log_exp_norms, exp_norm_sq
 
 ZETA_3_2 = 2.6123753486854883
 
@@ -230,6 +235,43 @@ def test_weight_ratio_past_the_double_range(b):
     assert rep.passed
 
 
+def _weight_report_from_kernel(geom, ts):
+    # the weight check as it was written before it called exp_norm_sq: the
+    # star radii once, the kernel at s-level 6 on the same arrays
+    ts = np.asarray(ts, dtype=float)
+    rs = np.geomspace(*WEIGHT_R_RANGE, 12)
+    lr1t, lr2t = geom.log_r1_star(ts), geom.log_r2_star(ts)
+    log_e = _log_exp_norms(geom, rs, lr1t, lr2t, 6)[0]
+    log_z = 0.5 * np.logaddexp(2.0 * lr1t, 2.0 * lr2t)
+    log_vals = (-2.0 * rs[:, None] + 1.5 * (np.log(rs)[:, None] + log_z)
+                + log_e)
+    with np.errstate(over="ignore"):
+        vals = np.exp(log_vals)
+    lo, hi = float(vals.min()), float(vals.max())
+    ratio = hi / lo if np.finfo(float).tiny <= lo and hi < math.inf else (
+        math.exp(float(log_vals.max() - log_vals.min())))
+    return WeightEquivalenceReport(tuple(float(r) for r in rs),
+                                   tuple(ts.tolist()), lo, hi, ratio,
+                                   WEIGHT_FACTOR, ratio < WEIGHT_FACTOR)
+
+
+@pytest.mark.parametrize("spec", _COMPARISON_SPECS[:1] + _COMPARISON_SPECS[2:])
+@pytest.mark.parametrize("ts", [(0.1, 0.3, 0.5, 0.7, 0.9), (0.5,)])
+def test_weight_report_is_the_kernel_computation(spec, ts, monkeypatch):
+    # byte for byte, with one exp_norm_sq call per check
+    geom = domain_from_spec(spec)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return exp_norm_sq(*args)
+
+    monkeypatch.setattr(diagnostics, "exp_norm_sq", counted)
+    rep = verify_weight_equivalence(geom, ts)
+    assert len(calls) == 1
+    assert repr(rep) == repr(_weight_report_from_kernel(geom, ts))
+
+
 def test_weight_equivalence_guards(ball):
     for ts in [(), (0.0, 0.5), (0.5, 1.0), (0.5, float("nan")), (-0.2,)]:
         with pytest.raises(DomainError):
@@ -247,6 +289,13 @@ def test_l1ball_moment_closed_form():
         2.0 * 2.0 / 120.0, rel=1e-13)
     assert math.exp(l1ball_log_moment(2, 1)) == pytest.approx(
         24.0 * 2.0 / 5040.0, rel=1e-12)
+    # it is log B(2m1 + 1, 2m2 + 1), whose argument sum is exact: the
+    # three-term form bit for bit
+    for m1, m2 in [(0, 0), (1, 0), (3, 7), (29, 29), (1000, 3),
+                   (123_456, 654_321), (10 ** 6, 1), (10 ** 6, 10 ** 6)]:
+        assert l1ball_log_moment(m1, m2) == (
+            log_gamma(2.0 * m1 + 1.0) + log_gamma(2.0 * m2 + 1.0)
+            - log_gamma(2.0 * m1 + 2.0 * m2 + 2.0))
 
 
 def test_counterexample_term_laws():

@@ -6,6 +6,7 @@ moments have a Beta closed form; the diagonal ray limit is p / (2 sqrt(p-1)).
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,6 +104,23 @@ def test_moment_table_index_guard(ball):
         moment_table(ball, -1, 3)
 
 
+@pytest.mark.parametrize("M1, M2", [(20_000, 20_000), (3162, 3161),
+                                    (10_000_000, 0)])
+def test_moment_table_refuses_an_oversized_box(ball, M1, M2):
+    # more than 10^7 entries is refused before anything is allocated; a
+    # 20000 x 20000 norm grid needed several 3.2 GB arrays
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match=(
+                f"^the degree box 0..{M1} x 0..{M2} has more than "
+                f"10,000,000 entries$")):
+            moment_table(ball, M1, M2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 # ---------------------------------------------------------------------------
 # norm grids
 # ---------------------------------------------------------------------------
@@ -193,18 +211,19 @@ def test_egg_weights_do_not_change_norms():
 # ---------------------------------------------------------------------------
 
 def test_ray_limit_values(ball, egg4):
-    assert ray_limit_predictor(ball, 1.0).value == pytest.approx(1.0)
+    assert ray_limit_predictor(ball, 1.0) == pytest.approx(1.0)
     # diagonal limit p / (2 sqrt(p - 1))
-    assert ray_limit_predictor(egg4, 1.0).value == pytest.approx(
+    assert ray_limit_predictor(egg4, 1.0) == pytest.approx(
         4.0 / (2.0 * math.sqrt(3.0)), rel=1e-13)
     big = domain_from_exponent(egg_profile(64.0))
-    assert ray_limit_predictor(big, 1.0).value == pytest.approx(
+    assert ray_limit_predictor(big, 1.0) == pytest.approx(
         64.0 / (2.0 * math.sqrt(63.0)), rel=1e-13)
+    assert isinstance(ray_limit_predictor(egg4, 0.25), float)
 
 
 def test_ray_limit_axis_cases(ball):
-    assert ray_limit_predictor(ball, 0.0).axis_case
-    assert ray_limit_predictor(ball, math.inf).axis_case
+    assert ray_limit_predictor(ball, 0.0) is None
+    assert ray_limit_predictor(ball, math.inf) is None
     with pytest.raises(DomainError):
         ray_limit_predictor(ball, -1.0)
 

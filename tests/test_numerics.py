@@ -425,7 +425,6 @@ def test_extrapolate_requires_four_terms():
 def test_extrapolation_result_type():
     res = extrapolate_limit([1.0, 1.5, 1.75, 1.875, 1.9375])
     assert isinstance(res, ExtrapolationResult)
-    assert 0.0 <= res.confidence <= 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -316,10 +316,12 @@ def test_exp_norm_at_zero(ball):
 
 
 def test_exp_norm_guards(ball):
-    with pytest.raises(DomainError):
-        exp_norm_sq(ball, -1.0, 0.5)
-    with pytest.raises(DomainError):
-        exp_norm_sq(ball, 1.0, 1.5)
+    # one bad element of an array is enough, NaN included
+    for r, t in [(-1.0, 0.5), (1.0, 1.5), ([2.0, -1.0], 0.5),
+                 ([2.0, math.nan], 0.5), (2.0, [0.5, 1.5]),
+                 (2.0, [0.5, math.nan]), ([[2.0], [3.0]], [-0.1, 0.5])]:
+        with pytest.raises(DomainError):
+            exp_norm_sq(ball, r, t)
 
 
 @pytest.mark.parametrize("r", [math.nan, math.inf])
@@ -425,6 +427,32 @@ def test_exp_norm_at_the_ends_of_a_dual(t):
         want = _log_exp_norms(dual, np.array([r]), np.array([lr1t]),
                               np.array([lr2t]), 6)[0, 0, 0]
         assert exp_norm_sq(dual, r, t) == want
+
+
+def test_exp_norm_over_arrays(kernel_domain):
+    # r of shape R and t of shape T give log E on R + T from one kernel call
+    rs = np.array([[0.0, 0.5, 5.0], [35.0, 120.0, 300.0]])
+    ts = np.array([0.0, 0.1, 0.3, 0.5, 0.7, 1.0])
+    got = exp_norm_sq(kernel_domain, rs, ts)
+    assert got.shape == (2, 3, 6)
+    want = _log_exp_norms(kernel_domain, rs.ravel(),
+                          kernel_domain.log_r1_star(ts),
+                          kernel_domain.log_r2_star(ts), 6)[0]
+    assert got.tobytes() == want.tobytes()
+    assert exp_norm_sq(kernel_domain, rs[1], 0.3).shape == (3,)
+    assert exp_norm_sq(kernel_domain, 5.0, ts).shape == (6,)
+    assert exp_norm_sq(kernel_domain, [], ts).shape == (0, 6)
+    # a one-point array is the scalar call bit for bit; over a grid the
+    # entries share one series degree (from the largest r) and one balance
+    # lam_n (over all t), which moves their last bits (3.5e-16 here)
+    for r, t in ((0.5, 0.3), (300.0, 1.0)):
+        one = exp_norm_sq(kernel_domain, [r], [t])
+        assert one.shape == (1, 1)
+        assert one[0, 0] == exp_norm_sq(kernel_domain, r, t)
+    scalar = np.array([[exp_norm_sq(kernel_domain, r, t) for t in ts]
+                       for r in rs.ravel()]).reshape(got.shape)
+    assert np.all(np.abs(got - scalar) <= 1e-15 * np.maximum(1.0,
+                                                             abs(scalar)))
 
 
 @pytest.mark.parametrize("n", [1, 2, 131, 345, _series_degree(_R_LIMIT) - 3])
