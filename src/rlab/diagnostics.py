@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, HypothesisNotMet
 from .geometry import DomainGeometry
-from .numerics import log_beta, log_gamma
+from .numerics import log_beta
 from .transform import exp_norm_sq
 
 __all__ = [
@@ -233,6 +233,22 @@ class CounterexampleReport:
         }
 
 
+def _l1ball_log_terms(k: np.ndarray, log_k: np.ndarray) -> np.ndarray:
+    """The log terms of l1ball_counterexample's series, rows omega_G, nu_G,
+    nu_F and hardy.  With S(j) = log(4^j (j!)^2 / (2j)!), one running sum of
+    log1p(1/(2i - 1)) over i <= j <= 4K + 2, and R(k) = log Gamma(4k+5/2) -
+    log Gamma(4k+2) = log(sqrt(pi) m) - S(m) at m = 4k + 2, they are exactly
+    -3/2 log k, -3/2 log k + R(k), -3/2 log k and -3/2 log k - R(k) + 2 S(k).
+    """
+    s = np.cumsum(np.log1p(1.0 / np.arange(1.0, 8.0 * k.size + 4.0, 2.0)))
+    out = np.empty((4, k.size))  # s[j - 1] is S(j); out[1] first holds R(k)
+    out[1] = np.log(4.0 * k + 2.0) + 0.5 * math.log(math.pi) - s[5::4]
+    out[0] = out[2] = -1.5 * log_k
+    out[3] = out[0] - out[1] + 2.0 * s[:k.size]
+    out[1] += out[0]
+    return out
+
+
 def l1ball_counterexample(K_max: int = 10_000) -> CounterexampleReport:
     """Witness series separating the three spaces on |z1| + |z2| < 1.
 
@@ -241,9 +257,12 @@ def l1ball_counterexample(K_max: int = 10_000) -> CounterexampleReport:
         t_k = 2^{2k} / (k^{3/4} ((4k+1)!)^{1/2})        (grid G)
         b_k = 2^{2k} / (k^{3/4} Gamma(4k+5/2)^{1/2})    (grid F)
 
-    and the Hardy coefficients a_k of the putative transform preimage of F.
-    Series terms (all evaluated in log-Gamma space; (4k+1)! overflows
-    doubles near k = 42):
+    and a_k = 4 conj(b_k) (4k+1)! (k!)^2 / ((2k)!)^2, the Hardy coefficients
+    of the putative transform preimage of F.  The series terms are
+    t_k^2 Gamma(4k+2) / 2^{4k} (omega), t_k^2 and b_k^2 times
+    Gamma(4k+5/2) / 2^{4k} (nu) and |a_k|^2 I(k, k) / 16 (Hardy; I is
+    l1ball_log_moment's), and _l1ball_log_terms gives their logs exactly,
+    with no log-Gamma:
 
         omega series of G:  exactly k^{-3/2}            -> convergent
         nu series of G:     ~ const / k                 -> divergent
@@ -258,36 +277,15 @@ def l1ball_counterexample(K_max: int = 10_000) -> CounterexampleReport:
     if K_max < 10:
         raise DomainError("K_max must be at least 10")
     k = np.arange(1, K_max + 1, dtype=float)
-    # one buffer holds the log-Gamma arguments, the log terms (omega_G and
-    # nu_F first hold log t_k^2 and log b_k^2), the terms and partial sums:
-    #   omega_G = log t_k^2 - log 2^{4k} + lg_4k2   (2^{4k} = 2^{2m1+2m2})
-    #   nu_G    = log t_k^2 - log 2^{4k} + lg_4k25
-    #   nu_F    = log b_k^2 - log 2^{4k} + lg_4k25
-    #   hardy   = log a_k^2 + log I(k, k) - 2 log 4: the Hardy term |a|^2 I
-    # a_k = 4 conj(b_k) (4k+1)! (k!)^2 / ((2k)!)^2; the 1/16 restores the
-    # model series sum |a|^2 I, and the display's factor 4 in a_k cancels it
-    buf = np.multiply.outer([4.0, 4.0, 2.0, 1.0], k)
-    buf += [[2.0], [2.5], [1.0], [1.0]]
-    lg_4k2, lg_4k25, lg_2k1, lg_k1 = lg = log_gamma(buf)
-    omega_g, nu_g, nu_f, hardy = buf
     log_k = np.log(k)
-    np.multiply(0.5, lg[:2], out=buf[::2])
-    np.subtract(2.0 * k * math.log(2.0) - 0.75 * log_k, buf[::2],
-                out=buf[::2])
-    buf[::2] *= 2.0
-    np.add(2.0 * math.log(4.0), nu_f, out=hardy)
-    hardy += 2.0 * (lg_4k2 + 2.0 * lg_k1 - 2.0 * lg_2k1)
-    hardy += 2.0 * lg_2k1 - lg_4k2
-    hardy -= 2.0 * math.log(4.0)
-    nu_g[:] = omega_g
-    buf[:3] -= 4.0 * k * math.log(2.0)
-    omega_g += lg_4k2
-    buf[1:3] += lg_4k25
+    # one buffer holds the log terms, the terms and the partial sums
+    buf = _l1ball_log_terms(k, log_k)
+    omega_g, nu_g, nu_f, hardy = buf
     # top-decade slopes in closed form; einsum, not @, keeps the sums in
     # this thread, and the BLAS thread numpy started stays idle
     lo = K_max // 10
     x, y = log_k[lo:] - log_k[lo:].mean(), buf[:, lo:]
-    y_c = np.subtract(y, y.mean(axis=1, keepdims=True), out=lg[:, lo:])
+    y_c = y - y.mean(axis=1, keepdims=True)
     slopes = np.einsum("ij,j->i", y_c, x) / np.einsum("j,j->", x, x)
     np.exp(buf, out=buf)
     k *= hardy

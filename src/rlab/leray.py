@@ -78,15 +78,17 @@ def _log_moment_sums(geom: DomainGeometry, m1, m2, log_weight=None,
     return sums[:, inv1.reshape(m1.shape), inv2.reshape(m2.shape)]
 
 
-def _log_gamma_of_sums(n, p):
-    """log Gamma(2n/p + 2) over degree sums n: one log_gamma on the range
-    of an integer n that spans at most its size (a degree box), then a
-    gather; other n elementwise.  Both give the same bits."""
-    n = np.asarray(n)
-    if n.dtype.kind in "iu" and n.size and np.ptp(n) < n.size:
-        lo = n.min()
-        return log_gamma(2.0 * np.arange(lo, n.max() + 1) / p + 2.0)[n - lo]
-    return log_gamma(2.0 * n / p + 2.0)
+def _log_gammas(p, c, *ns):
+    """log Gamma(2n/p + c) for each degree array n: one log_gamma on the
+    range of integer n that spans at most their total size (a degree box),
+    then gathers; else one call per array.  Both give the same bits."""
+    ns = [np.asarray(n) for n in ns]
+    if all(n.dtype.kind in "iu" and n.size for n in ns):
+        lo, hi = min(n.min() for n in ns), max(n.max() for n in ns)
+        if hi - lo < sum(n.size for n in ns):
+            lg = log_gamma(2.0 * np.arange(lo, hi + 1) / p + c)
+            return [lg[n - lo] for n in ns]
+    return [log_gamma(2.0 * n / p + c) for n in ns]
 
 
 def _log_moments(geom: DomainGeometry, m1, m2):
@@ -98,10 +100,10 @@ def _log_moments(geom: DomainGeometry, m1, m2):
     if p is None:
         fine, coarse = _log_moment_sums(geom, m1, m2)
         return fine, np.abs(fine - coarse)
+    lg1, lg2 = _log_gammas(p, 1.0, m1, m2)
+    (lg_sum,) = _log_gammas(p, 2.0, np.add(m1, m2))
     log_i = (2.0 * m1 * math.log(geom.profile.b1)
-             + 2.0 * m2 * math.log(geom.profile.b2)
-             + (log_gamma(2.0 * m1 / p + 1.0) + log_gamma(2.0 * m2 / p + 1.0)
-                - _log_gamma_of_sums(m1 + m2, p)))
+             + 2.0 * m2 * math.log(geom.profile.b2) + (lg1 + lg2 - lg_sum))
     return log_i, np.zeros_like(log_i)
 
 
@@ -149,9 +151,9 @@ def moment_table(geom: DomainGeometry, M1: int, M2: int) -> MomentTable:
 
 def log_gamma_factor(m1, m2):
     """log of (m1 + m2 + 1)! / (m1! m2!)."""
-    m1, m2 = np.asarray(m1), np.asarray(m2)  # 2n/2 + 2 = n + 2 exactly
-    return (_log_gamma_of_sums(m1 + m2, 2.0) - log_gamma(m1 + 1.0)
-            - log_gamma(m2 + 1.0))
+    lg1, lg2 = _log_gammas(2.0, 1.0, m1, m2)  # 2n/2 + c = n + c exactly
+    (lg_sum,) = _log_gammas(2.0, 2.0, np.add(m1, m2))
+    return lg_sum - lg1 - lg2
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,10 @@
 """Shared numerical kernels.
 
 The nested tanh-sinh rule on (0, 1), built once a level, log_matmul (the one
-log-space product), log-Gamma/Beta and log I0 (scipy.special's gammaln and
-i0e; log I0 is public API only) and sequence-limit extrapolation.
-scipy.special is imported inside the functions that call it, at their first
-call, so importing the package loads numpy but no scipy; neither does building
-any geometry or its dual, and no verb on a table loads scipy's interpolate.
+log-space product), log-Gamma/Beta (Python's math.lgamma), log I0 and
+sequence-limit extrapolation.  log I0 is public API only: no library code
+calls it, and scipy.special's i0e is imported at its first call.  So importing
+the package loads numpy but no scipy, and neither does any verb.
 Everything here is pure and reentrant.  No library product goes through BLAS
 (einsum, never @): OpenBLAS starts its worker thread when numpy is imported,
 but the thread stays idle, and CPU time tracks wall time.  log_matmul drops
@@ -157,15 +156,24 @@ def log_matmul(log_a: np.ndarray, log_b: np.ndarray) -> np.ndarray:
 # special functions
 # ---------------------------------------------------------------------------
 
-def log_gamma(x):
-    """log Gamma(x) for x > 0."""
-    from scipy.special import gammaln
+def _lgamma(v: float) -> float:
+    try:
+        return math.lgamma(v)
+    except OverflowError:  # finite v past ~2.5e305: log Gamma(v) > max
+        return math.inf
 
+
+def log_gamma(x):
+    """log Gamma(x) for x > 0, elementwise from math.lgamma (CPython's own
+    C code); inf above ~2.5e305 and at inf, with no warning; NaN for NaN."""
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
         raise DomainError("log_gamma requires x > 0")
-    out = gammaln(x)
-    return float(out) if x.ndim == 0 else out
+    try:
+        out = np.fromiter(map(math.lgamma, x.ravel().tolist()), float, x.size)
+    except OverflowError:
+        out = np.fromiter(map(_lgamma, x.ravel().tolist()), float, x.size)
+    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
 def log_beta(x, y):
@@ -211,29 +219,19 @@ def extrapolate_limit(seq: Sequence[float]) -> ExtrapolationResult:
         raise DomainError("extrapolate_limit needs at least 4 terms")
 
     rows = [s]
-    cur = s
-    while cur.size >= 3:
+    while (cur := rows[-1]).size >= 3:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             d2 = cur[2:] - 2.0 * cur[1:-1] + cur[:-2]
             nxt = cur[2:] - (cur[2:] - cur[1:-1]) ** 2 / np.where(d2 == 0.0, np.nan, d2)
         if not np.all(np.isfinite(nxt)):
             break
         rows.append(nxt)
-        cur = nxt
 
-    # pick the acceleration depth with the smallest trailing difference;
-    # deeper rows can be polluted by cancellation noise
+    # pick the acceleration depth with the smallest trailing difference (the
+    # first such); deeper rows can be polluted by cancellation noise
     raw_resid = float(abs(s[-1] - s[-2]))
-    best_row = s
-    best_resid = raw_resid
-    for row in rows[1:]:
-        if row.size < 2:
-            continue
-        r = float(abs(row[-1] - row[-2]))
-        if r < best_resid:
-            best_resid = r
-            best_row = row
-    limit = float(best_row[-1])
+    best_resid, limit = min(((float(abs(r[-1] - r[-2])), float(r[-1]))
+                             for r in rows if r.size >= 2), key=lambda t: t[0])
 
     scale = max(abs(limit), 1e-300)
     converged = bool(best_resid <= 1e-6 * scale

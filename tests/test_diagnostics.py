@@ -13,7 +13,8 @@ from rlab import diagnostics
 from rlab.diagnostics import (COMPARISON_SLACK, WEIGHT_FACTOR, WEIGHT_R_RANGE,
                               ComparisonReport, F_omega,
                               WeightEquivalenceReport, _ball_pairing,
-                              _pairing, egg_comparison_constant,
+                              _l1ball_log_terms, _pairing,
+                              egg_comparison_constant,
                               l1ball_counterexample, l1ball_log_moment,
                               verify_comparison_lemma,
                               verify_weight_equivalence)
@@ -320,8 +321,8 @@ def test_counterexample_tail_slopes():
 
 
 def _elementwise_log_terms(K):
-    # the four log series term by term, each log-Gamma from its own gammaln
-    # call, in the order of additions of the closed forms
+    # the four log series term by term in log-Gamma form, each log-Gamma
+    # from scipy's gammaln: a form independent of the library's
     from scipy.special import gammaln
     k = np.arange(1, K + 1, dtype=float)
     log_t_sq = 2.0 * (2.0 * k * math.log(2.0) - 0.75 * np.log(k)
@@ -341,25 +342,52 @@ def _elementwise_log_terms(K):
     }
 
 
-def test_counterexample_series_match_elementwise_terms():
-    # one log-Gamma per distinct argument keeps every sum bit for bit
-    rep = l1ball_counterexample(10_000)
-    k, log_terms = _elementwise_log_terms(10_000)
-    terms = {name: np.exp(t) for name, t in log_terms.items()}
-    assert np.array_equal(rep.bergman_omega_G_partial_sums,
-                          np.cumsum(terms["omega_G"]))
-    assert np.array_equal(rep.bergman_nu_G_partial_sums,
-                          np.cumsum(terms["nu_G"]))
-    assert np.array_equal(rep.bergman_nu_F_partial_sums,
-                          np.cumsum(terms["nu_F"]))
-    assert np.array_equal(rep.hardy_partial_sums, np.cumsum(terms["hardy"]))
-    assert np.array_equal(rep.hardy_k_times_term, k * terms["hardy"])
+def _exact_log_terms(k):
+    # the four log terms at one k from exact integers: each term is an
+    # integer ratio times k^{-3/2} pi^{e/2}, with Gamma(m + 1/2) =
+    # (2m)! sqrt(pi) / (4^m m!) at m = 4k + 2; int / int rounds correctly
+    f, m, p4 = math.factorial, 4 * k + 2, 2 ** (4 * k)
+    g2, g25 = f(4 * k + 1), (f(2 * m), 4 ** m * f(m))  # Gamma(4k+5/2)/sqrt(pi)
+    t_sq = (p4, g2)                                   # k^{3/2} t_k^2
+    b_sq = (p4 * g25[1], g25[0])                      # k^{3/2} sqrt(pi) b_k^2
+    a_sq = (b_sq[0] * (g2 * f(k) ** 2) ** 2,          # |a_k|^2 / 16, likewise
+            b_sq[1] * f(2 * k) ** 4)
+    omega, nu = (g2, p4), (g25[0], g25[1] * p4)       # the two weights
+    moment = (f(2 * k) ** 2, g2)                      # I(k, k)
+
+    def log_term(coef, weight, e):
+        return (math.log(coef[0] * weight[0] / (coef[1] * weight[1]))
+                + 0.5 * e * math.log(math.pi) - 1.5 * math.log(k))
+
+    return {"omega_G": log_term(t_sq, omega, 0), "nu_G": log_term(t_sq, nu, 1),
+            "nu_F": log_term(b_sq, nu, 0), "hardy": log_term(a_sq, moment, -1)}
+
+
+def test_counterexample_log_terms_match_exact_arithmetic():
+    # the log terms against exact integer arithmetic, then the report's
+    # partial sums and k times the Hardy term from those same terms
+    K = 10_000
+    k = np.arange(1, K + 1, dtype=float)
+    log_terms = _l1ball_log_terms(k, np.log(k))
+    names = ("omega_G", "nu_G", "nu_F", "hardy")
+    for j in (1, 2, 10, 100, 1_000, 10_000):
+        want = _exact_log_terms(j)
+        for name, row in zip(names, log_terms):
+            assert abs(row[j - 1] - want[name]) <= 1e-11, (name, j)
+    rep = l1ball_counterexample(K)
+    terms = np.exp(log_terms)
+    for sums, row in zip((rep.bergman_omega_G_partial_sums,
+                          rep.bergman_nu_G_partial_sums,
+                          rep.bergman_nu_F_partial_sums,
+                          rep.hardy_partial_sums), terms):
+        assert np.array_equal(sums, np.cumsum(row))
+    assert np.array_equal(rep.hardy_k_times_term, k * terms[3])
 
 
 def test_counterexample_peak_memory():
-    # the four series live in one (4, K) buffer next to their log-Gamma
-    # values: twelve K-vectors at the peak, 9.2 MiB at K = 100,000
-    l1ball_counterexample(100_000)   # scipy.special is imported on first use
+    # the four series live in one (4, K) buffer next to the running sum
+    # S(j), j <= 4K + 2: twelve K-vectors at the peak, 9.2 MiB at K = 100,000
+    l1ball_counterexample(100_000)   # one-time set-up is not counted
     tracemalloc.start()
     try:
         l1ball_counterexample(100_000)

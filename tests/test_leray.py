@@ -15,7 +15,7 @@ from rlab import leray
 from rlab.errors import DomainError, IndexOutOfTable
 from rlab.geometry import (domain_from_exponent, dual_complement, egg_profile,
                            expression_profile, tabulated_profile)
-from rlab.leray import (_leray_entries, _log_gamma_of_sums, _log_moment_sums,
+from rlab.leray import (_leray_entries, _log_gammas, _log_moment_sums,
                         _radial_log_nodes, axis_limit_probe,
                         boundedness_report, leray_norm_grid,
                         log_gamma_factor, moment_table, ray_limit_predictor)
@@ -157,18 +157,44 @@ def test_log_gamma_of_sums_table_and_elementwise_agree(monkeypatch):
 
     monkeypatch.setattr(leray, "log_gamma", counted)
     box = np.add.outer(np.arange(201), np.arange(201))
+    m1, m2 = np.arange(201)[:, None], np.arange(151)[None, :]
     scattered = np.array([3, 10, 10 ** 6])
     for p in (1.25, 1.5, 2.0, 3.0):
         sizes.clear()
-        table = _log_gamma_of_sums(box, p)
-        elementwise = _log_gamma_of_sums(box.astype(float), p)
+        (table,) = _log_gammas(p, 2.0, box)
+        (elementwise,) = _log_gammas(p, 2.0, box.astype(float))
         assert sizes == [401, box.size]
         assert np.array_equal(table, elementwise)
+        # the degrees of both axes of a box share one call on 0..200
+        sizes.clear()
+        shared = _log_gammas(p, 1.0, m1, m2)
+        apart = _log_gammas(p, 1.0, m1.astype(float), m2.astype(float))
+        assert sizes == [201, 201, 151]
+        for a, b in zip(shared, apart):
+            assert a.shape == b.shape and np.array_equal(a, b)
         # a few far-apart degrees are evaluated where they are
         sizes.clear()
-        assert np.array_equal(_log_gamma_of_sums(scattered, p),
-                              _log_gamma_of_sums(scattered.astype(float), p))
+        assert np.array_equal(_log_gammas(p, 2.0, scattered)[0],
+                              _log_gammas(p, 2.0, scattered.astype(float))[0])
         assert sizes == [3, 3]
+
+
+def test_closed_form_grid_log_gamma_calls(monkeypatch):
+    # an egg's norm grid at M = 200: each moment table and the gamma factor
+    # make one log_gamma call on the degrees 0..200 of both axes and one on
+    # the sums 0..400; float degrees take one call per array, same bits
+    egg = domain_from_exponent(egg_profile(3.0))
+    m = np.arange(201.0)
+    want = _leray_entries(egg, dual_complement(egg), m[:, None], m[None, :])
+    sizes = []
+
+    def counted(x):
+        sizes.append(np.size(x))
+        return log_gamma(x)
+
+    monkeypatch.setattr(leray, "log_gamma", counted)
+    assert np.array_equal(leray_norm_grid(egg, 200, 200).log_norm_sq, want)
+    assert sorted(sizes) == [201, 201, 201, 401, 401, 401]
 
 
 def test_ball_norms_are_one(ball):

@@ -355,6 +355,26 @@ def test_log_gamma_rejects_nonpositive():
         log_gamma(-3.2)
 
 
+@pytest.mark.filterwarnings("error")
+def test_log_gamma_at_the_edges():
+    # log Gamma exceeds the doubles past ~2.5e305: inf, with no exception
+    # and no warning, alone or among other elements
+    for x in (1e306, 1e308, math.inf):
+        assert log_gamma(x) == math.inf
+    assert math.isfinite(log_gamma(2.5e305))
+    got = log_gamma(np.array([[1e306, 3.0], [math.nan, 1e308]]))
+    assert got.shape == (2, 2)
+    assert got[0, 0] == got[1, 1] == math.inf
+    assert got[0, 1] == math.lgamma(3.0) and math.isnan(got[1, 0])
+    # NaN gives NaN, a 0-d input a float; the smallest subnormal is finite,
+    # log Gamma(x) = -log x - gamma x + ... there
+    assert math.isnan(log_gamma(math.nan))
+    assert type(log_gamma(np.array(2.5))) is float
+    assert log_gamma(5e-324) == pytest.approx(-math.log(5e-324), rel=1e-15)
+    with pytest.raises(DomainError):
+        log_gamma(-math.inf)
+
+
 def test_log_beta_values():
     assert math.exp(log_beta(2.0, 2.0)) == pytest.approx(1.0 / 6.0, rel=1e-13)
     assert math.exp(log_beta(1.0, 1.0)) == pytest.approx(1.0, rel=1e-13)
@@ -454,8 +474,8 @@ _SCIPY_MODULES = ("[m for m in sys.modules"
 
 
 def test_import_does_not_load_scipy():
-    # scipy.special loads at the first call that uses it; building a table
-    # geometry and its dual loads no scipy at all
+    # importing the package, then building a table geometry and its dual,
+    # loads no scipy at all
     assert _fresh_python(
         "import sys, rlab; print([m for m in sys.modules"
         " if m.startswith(('scipy.special', 'scipy.interpolate'))]);"
@@ -487,16 +507,28 @@ for argv in (["describe"], ["dual"], ["curvature", "--samples", "3"],
         "describe 0 []", "dual 0 []", "curvature 0 []", "compare-lemma 0 []"]
 
 
-def test_egg_verbs_do_not_load_scipy_special():
-    code = """
-import os, sys
+def test_no_verb_loads_scipy():
+    # log-Gamma is math.lgamma and the counterexample needs none, so
+    # each of the ten verbs, on an egg, runs with no scipy module loaded
+    code = f"""
+import json, os, sys
 from rlab.cli import main
-egg = '{"kind": "egg", "p": 3}'
+egg = '{{"kind": "egg", "p": 3}}'
+coeffs = lambda side: json.dumps({{"side": side, "entries": [
+    {{"m1": 1, "m2": 2, "re": 1.0}}, {{"m1": 3, "m2": 0, "im": 0.5}}]}})
 for argv in (["describe"], ["dual"], ["curvature", "--samples", "3"],
-             ["compare-lemma", "--samples", "10"]):
+             ["leray-grid", "--max", "4"], ["leray-rays", "--max", "16"],
+             ["laplace", "--coeffs", coeffs("hardy")],
+             ["norms", "--coeffs", coeffs("bergman")],
+             ["compare-lemma", "--samples", "10"],
+             ["weight-equiv", "--samples", "2"]):
     status = main(argv + ["--domain", egg, "--out", os.devnull])
-    print(argv[0], status, "scipy.special" in sys.modules)
+    print(argv[0], status, {_SCIPY_MODULES})
+status = main(["counterexample", "--kmax", "10", "--out", os.devnull])
+print("counterexample", status, {_SCIPY_MODULES})
 """
     assert _fresh_python(code).splitlines() == [
-        "describe 0 False", "dual 0 False", "curvature 0 False",
-        "compare-lemma 0 False"]
+        f"{verb} 0 []" for verb in (
+            "describe", "dual", "curvature", "leray-grid", "leray-rays",
+            "laplace", "norms", "compare-lemma", "weight-equiv",
+            "counterexample")]
