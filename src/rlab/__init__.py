@@ -9,9 +9,8 @@ from .errors import (DomainError, ExponentOutOfRange, HypothesisNotMet,
 from .geometry import (DomainGeometry, ExponentProfile, curvatures_at,
                        domain_from_exponent, domain_from_spec, dual_complement,
                        egg_profile, expression_profile, tabulated_profile)
-from .leray import (LerayNormGrid, MomentTable, axis_limit_probe,
-                    boundedness_report, leray_norm_grid, moment_table,
-                    ray_limit_predictor)
+from .leray import (LerayNormGrid, MomentTable, boundedness_report,
+                    leray_norm_grid, moment_table, ray_limit_predictor)
 from .numerics import bessel_i0_log, extrapolate_limit, log_beta, log_gamma
 from .transform import (CoefficientGrid, NormReport, bergman_nu_norm_sq,
                         bergman_omega_norm_sq, exp_norm_sq, hardy_norm_sq,

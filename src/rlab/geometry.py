@@ -404,47 +404,47 @@ class DomainGeometry:
     def _estimate_p_limits(self):
         # doubly exponential approach to the endpoint: profiles whose tail
         # behaves like a power of s or like 1/log(1/s) both produce
-        # geometrically converging samples, which Aitken then accelerates
+        # geometrically converging samples, which Aitken then accelerates.
+        # Returns the limits and, for each converged one, Aitken's err_est.
         depth = 2.0 ** np.arange(0, 9)
-        limits = {}
-        for end in (0, 1):
-            s = 2.0 ** (-depth) if end == 0 else 1.0 - 2.0 ** (-depth)
+        limits, errs = {}, {}
+        for key, s in (("s0", 2.0 ** (-depth)), ("s1", 1.0 - 2.0 ** (-depth))):
             vals = self.profile(s)
-            if not np.all(np.isfinite(vals)):
-                limits[end] = math.inf
-                continue
-            if vals[-1] > 1e6 and 0.5 * vals[-1] > vals[len(vals) // 2]:
-                limits[end] = math.inf
+            limits[key], errs[key] = math.inf, None
+            if not np.all(np.isfinite(vals)) or (
+                    vals[-1] > 1e6 and 0.5 * vals[-1] > vals[len(vals) // 2]):
                 continue
             res = extrapolate_limit(vals)
-            limits[end] = res.limit if res.converged else (
-                math.inf if vals[-1] > 10.0 * vals[0] else None)
-        return {"s0": limits[0], "s1": limits[1]}
+            if res.converged:
+                limits[key], errs[key] = res.limit, res.err_est
+            elif vals[-1] <= 10.0 * vals[0]:
+                limits[key] = None
+        return limits, errs
 
     def _estimate_membership(self, p_limits):
         # the class requires int_0 dt/(t p(t)) and int^1 dt/((1-t) p(t)) to
         # diverge; after u = log t this is divergence of int 1/p du as the
         # lower limit recedes.  Sampled truncations must keep growing with
         # slope bounded away from zero on a log scale.  This is a heuristic
-        # (finitely many samples prove nothing), hence the confidence field.
+        # (finitely many samples prove nothing), so the smallest growth
+        # step is reported with the flag.
         eps = np.array([1e-2, 1e-4, 1e-6, 1e-8, 1e-10])
         vals = -np.stack([self.log_r1_xy(eps, 1.0 - eps),
                           self.log_r2_xy(1.0 - eps, eps)], axis=1)
         growth = np.diff(vals, axis=0)  # per factor-100 shrink of eps
         diverging = bool(np.all(growth > 1e-3))
-        conf = 0.9 if diverging and np.all(growth > 0.1 * growth[0]) else 0.6
-        finite_limits = all(
-            isinstance(v, float) and math.isfinite(v) and v > 1.0
-            for v in p_limits.values())
+        # a limit that was never estimated leaves R' undecided
+        lims = p_limits.values()
+        finite_limits = None if None in lims else all(
+            math.isfinite(v) and v > 1.0 for v in lims)
         return {"in_R_tilde": {"value": diverging,
-                               "confidence": conf if diverging else 0.9},
-                "in_R_prime": {"value": diverging and finite_limits,
-                               "confidence": 0.85 if finite_limits else 0.7}}
+                               "min_growth": float(growth.min())},
+                "in_R_prime": {"value": diverging and finite_limits}}
 
     # -- misc ---------------------------------------------------------------
 
     def describe(self) -> dict:
-        p_limits = self._estimate_p_limits()
+        p_limits, errs = self._estimate_p_limits()
         return {
             "kind": self.profile.kind,
             "b1": self.profile.b1,
@@ -452,7 +452,7 @@ class DomainGeometry:
             "p_limits": {k: ("divergent" if v == math.inf else v)
                          for k, v in p_limits.items()},
             **self._estimate_membership(p_limits),
-            "classification": _classify(self, p_limits),
+            "classification": _classify(p_limits, errs),
         }
 
 
@@ -508,13 +508,14 @@ def curvatures_at(geom: DomainGeometry, s) -> CurvatureTriple:
     return CurvatureTriple(*(map(float, out) if s.ndim == 0 else out))
 
 
-def _classify(geom: DomainGeometry, p_limits: dict) -> dict:
+def _classify(p_limits: dict, errs: dict) -> dict:
     """Heuristic contact-order classification at the two axis points.
 
     A finite exponent limit equal to an even integer 2m marks finite
     type 2m; a divergent limit marks infinite type; a limit below 2 means
     the boundary cannot be twice differentiable there.  Anything else is
-    reported inconclusive together with the raw limit estimate.
+    reported inconclusive together with the raw limit estimate.  Every
+    finite limit carries the err_est its extrapolation measured.
     """
     out = {}
     for axis, key in (("axis0", "s1"), ("axis1", "s0")):
@@ -522,19 +523,18 @@ def _classify(geom: DomainGeometry, p_limits: dict) -> dict:
         lim = p_limits[key]
         if lim is None:
             out[axis] = {"class": "inconclusive", "limit": None}
-        elif lim == math.inf:
+            continue
+        if lim == math.inf:
             out[axis] = {"class": "infinite_type", "limit": "divergent"}
-        elif lim < 2.0 - 1e-4:
-            out[axis] = {"class": "not_C2", "limit": lim}
+            continue
+        near_even = round(lim / 2.0) * 2.0
+        if lim < 2.0 - 1e-4:
+            cls = "not_C2"
+        elif near_even >= 2.0 and abs(lim - near_even) < 1e-4:
+            cls = f"finite_type({int(near_even)})"
         else:
-            near_even = round(lim / 2.0) * 2.0
-            if near_even >= 2.0 and abs(lim - near_even) < 1e-4:
-                low_conf = abs(lim - 2.0) < 1e-4 and geom.profile.constant_p is None
-                out[axis] = {"class": f"finite_type({int(near_even)})",
-                             "limit": lim,
-                             "confidence": 0.5 if low_conf else 0.9}
-            else:
-                out[axis] = {"class": "inconclusive", "limit": lim}
+            cls = "inconclusive"
+        out[axis] = {"class": cls, "limit": lim, "err_est": errs[key]}
     return out
 
 

@@ -28,12 +28,10 @@ __all__ = [
     "LerayNormGrid",
     "RayDiagnostic",
     "BoundednessReport",
-    "AxisProbe",
     "moment_table",
     "leray_norm_grid",
     "ray_limit_predictor",
     "boundedness_report",
-    "axis_limit_probe",
 ]
 
 _LEVEL = 7  # ~1600 nodes; moment integrals accurate to ~1e-14
@@ -164,12 +162,6 @@ class LerayNormGrid:
     err: np.ndarray
     converged: np.ndarray
 
-    def log_norm_sq_at(self, m1: int, m2: int) -> float:
-        if not (0 <= m1 <= self.M1 and 0 <= m2 <= self.M2):
-            raise IndexOutOfTable(
-                f"({m1},{m2}) outside grid degrees ({self.M1},{self.M2})")
-        return float(self.log_norm_sq[m1, m2])
-
 
 def leray_norm_grid(geom: DomainGeometry, M1: int, M2: int,
                     dual: DomainGeometry | None = None) -> LerayNormGrid:
@@ -196,8 +188,7 @@ def _leray_entries(geom: DomainGeometry, dual: DomainGeometry,
 
 def ray_limit_predictor(geom: DomainGeometry, x: float) -> float | None:
     """Limit (1/2) sqrt(p(s) p*(s)) at s = x/(1+x) along the ray m1/m2 -> x,
-    or None on the axis rays x = 0 and inf, which have no closed form here
-    (axis_limit_probe handles them empirically)."""
+    or None on the axis rays x = 0 and inf, which have no closed form."""
     if x < 0:
         raise DomainError("ray ratio must be nonnegative")
     if x == 0.0 or math.isinf(x):
@@ -283,30 +274,3 @@ def boundedness_report(geom: DomainGeometry, M: int,
     return BoundednessReport(sup_small, sup_full, argmax, growth,
                              tuple(diagnostics), verdict, evidence)
 
-
-@dataclass(frozen=True)
-class AxisProbe:
-    m0: int
-    degrees: tuple
-    values: tuple
-    extrapolated_limit: float
-    converged: bool
-
-
-def axis_limit_probe(geom: DomainGeometry, m0: int, N_max: int) -> AxisProbe:
-    """Empirical limit of ||L_{m0, n}||^2 as n grows.
-
-    Only Cauchy-style convergence detection; there is no closed form for
-    the limiting constant along an axis ray.
-    """
-    if m0 < 0 or N_max < 16:
-        raise DomainError("need m0 >= 0 and N_max >= 16")
-    dual = dual_complement(geom)
-    ns = sorted({int(round(N_max * (0.5 ** k))) for k in range(8)} | {N_max})
-    ns = [n for n in ns if n >= 2]
-    vals = np.exp(_leray_entries(geom, dual,
-                                 np.full(len(ns), float(m0)),
-                                 np.array(ns, dtype=float)))
-    res = extrapolate_limit(vals)
-    return AxisProbe(m0, tuple(ns), tuple(float(v) for v in vals),
-                     res.limit, res.converged)

@@ -205,14 +205,16 @@ def bessel_i0_log(x):
 class ExtrapolationResult:
     limit: float
     converged: bool
+    err_est: float  # the chosen row's trailing difference |r[-1] - r[-2]|
 
 
 def extrapolate_limit(seq: Sequence[float]) -> ExtrapolationResult:
     """Estimate lim a_n from a finite tail via iterated Aitken acceleration.
 
     The limit is the last entry of the row (the tail itself or an Aitken
-    row) with the smallest trailing difference, and converged says that
-    difference is small.  A tail whose differences fail to shrink is not.
+    row) with the smallest trailing difference; err_est is that difference,
+    and converged says it is small.  A tail whose differences fail to
+    shrink is not converged.
     """
     s = np.asarray(seq, dtype=float)
     if s.size < 4:
@@ -242,4 +244,4 @@ def extrapolate_limit(seq: Sequence[float]) -> ExtrapolationResult:
     first_resid = float(abs(s[1] - s[0]))
     if raw_resid > 1e-9 * scale and raw_resid >= first_resid > 0.0:
         converged = False
-    return ExtrapolationResult(limit, converged)
+    return ExtrapolationResult(limit, converged, best_resid)

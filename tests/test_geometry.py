@@ -576,12 +576,34 @@ def test_curvatures_over_an_array_match_scalar_calls(spec):
 # limits, membership, classification
 # ---------------------------------------------------------------------------
 
-def test_p_limits_varying(varying):
-    # p -> 2 as s -> 0 and p -> 2 + 1/log(10) as s -> 1
-    limits = varying.describe()["p_limits"]
-    assert limits["s0"] == pytest.approx(2.0, abs=1e-6)
-    assert limits["s1"] == pytest.approx(2.0 + 1.0 / math.log(10.0),
-                                         abs=1e-6)
+TABLE5 = {"kind": "table", "s": [0, 0.25, 0.5, 0.75, 1],
+          "p": [2, 3, 2.5, 4, 3]}
+
+
+@pytest.mark.parametrize("spec, s0, s1", [
+    ({"kind": "egg", "p": 2}, 2.0, 2.0),
+    ({"kind": "egg", "p": 4}, 4.0, 4.0),
+    (EX_PROFILE, 2.0, 2.0 + 1.0 / math.log(10.0)),
+    ("2+1/log(10/(1-s))", 2.0 + 1.0 / math.log(10.0), 2.0),
+    ("4-2*s", 4.0, 2.0),
+    ("2+sqrt(s)", 2.0, 3.0),
+    ("3+s*(1-s)", 3.0, 3.0),
+    ("2+1/log(10/s)^2", 2.0, 2.0 + 1.0 / math.log(10.0) ** 2),
+    (TABLE5, 2.0, 3.0),
+], ids=["egg2", "egg4", EX_PROFILE, "2+1/log(10/(1-s))", "4-2*s",
+        "2+sqrt(s)", "3+s*(1-s)", "2+1/log(10/s)^2", "table5"])
+def test_p_limits_varying(spec, s0, s1):
+    # each endpoint limit is found, and the err_est its classification
+    # entry reports (Aitken's trailing difference) bounds the true error
+    if isinstance(spec, str):
+        spec = {"kind": "expr", "p_check": spec}
+    info = domain_from_spec(spec).describe()
+    for key, axis, want in (("s0", "axis1", s0), ("s1", "axis0", s1)):
+        got = info["p_limits"][key]
+        assert got == pytest.approx(want, abs=1e-6)
+        entry = info["classification"][axis]
+        assert entry["limit"] == got
+        assert entry["err_est"] >= abs(got - want)
 
 
 def test_huge_exponent_gives_no_warning():
@@ -596,10 +618,23 @@ def test_huge_exponent_gives_no_warning():
 
 
 def test_membership_flags(varying):
+    # in_R_tilde reports the smallest growth step it compares with 1e-3
     info = varying.describe()
     assert info["in_R_tilde"]["value"]
-    assert info["in_R_prime"]["value"]
-    assert 0.0 < info["in_R_tilde"]["confidence"] <= 1.0
+    assert info["in_R_tilde"]["min_growth"] > 1e-3
+    assert info["in_R_prime"] == {"value": True}
+
+
+def test_membership_is_undecided_without_a_limit():
+    # p -> 2 as s -> 0, but Aitken does not converge on the samples: a
+    # limit that was never estimated leaves in_R_prime null, not false
+    info = domain_from_spec({"kind": "expr",
+                             "p_check": "2+1/log(10/s)+s"}).describe()
+    assert info["p_limits"]["s0"] is None
+    assert info["classification"]["axis1"] == {"class": "inconclusive",
+                                               "limit": None}
+    assert info["in_R_tilde"]["value"]
+    assert info["in_R_prime"] == {"value": None}
 
 
 def test_construction_does_no_describe_work(monkeypatch):
@@ -627,7 +662,7 @@ def test_describe_estimates_the_endpoint_limits_once(monkeypatch):
     info = geom.describe()
     assert len(calls) == 1
     assert info["classification"] == geometry._classify(
-        geom, geom._estimate_p_limits())
+        *geom._estimate_p_limits())
 
 
 def test_classification_eggs():
@@ -642,10 +677,11 @@ def test_classification_eggs():
 
 def test_classification_varying(varying):
     cls = varying.describe()["classification"]
-    # s -> 0 governs axis1; limit 2 from a non-constant profile is flagged
-    # as low confidence contact order 2
+    # s -> 0 governs axis1; limit 2 from a non-constant profile, with the
+    # trailing difference Aitken measured there
     assert cls["axis1"]["class"] == "finite_type(2)"
-    assert cls["axis1"]["confidence"] == pytest.approx(0.5)
+    assert set(cls["axis1"]) == {"class", "limit", "err_est"}
+    assert 0.0 < cls["axis1"]["err_est"] < 1e-4
     assert cls["axis0"]["class"] == "inconclusive"
 
 

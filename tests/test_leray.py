@@ -16,9 +16,9 @@ from rlab.errors import DomainError, IndexOutOfTable
 from rlab.geometry import (domain_from_exponent, dual_complement, egg_profile,
                            expression_profile, tabulated_profile)
 from rlab.leray import (_leray_entries, _log_gammas, _log_moment_sums,
-                        _radial_log_nodes, axis_limit_probe,
-                        boundedness_report, leray_norm_grid,
-                        log_gamma_factor, moment_table, ray_limit_predictor)
+                        _radial_log_nodes, boundedness_report,
+                        leray_norm_grid, log_gamma_factor, moment_table,
+                        ray_limit_predictor)
 from rlab.numerics import (log_beta, log_gamma, nested_log_sums,
                            tanh_sinh_indexed)
 
@@ -137,12 +137,13 @@ def _three_term_gamma_factor(m1, m2):
     return log_gamma(m1 + m2 + 2.0) - log_gamma(m1 + 1.0) - log_gamma(m2 + 1.0)
 
 
-def test_gamma_factor_is_the_three_term_formula(ball):
+def test_gamma_factor_is_the_three_term_formula():
     m1, m2 = np.arange(201)[:, None], np.arange(201)
     assert np.array_equal(log_gamma_factor(m1, m2),
                           _three_term_gamma_factor(m1, m2))
-    # axis_limit_probe's scattered pairs, up to degree 10^6
-    ns = np.array(axis_limit_probe(ball, 3, 10 ** 6).degrees, dtype=float)
+    # scattered pairs along an axis, halving from degree 10^6
+    ns = np.array(sorted({round(10 ** 6 / 2 ** k) for k in range(8)}),
+                  dtype=float)
     m0 = np.full(ns.size, 3.0)
     assert np.array_equal(log_gamma_factor(m0, ns),
                           _three_term_gamma_factor(m0, ns))
@@ -219,9 +220,8 @@ def test_norm_grid_duality_symmetry(varying):
 
 def test_norm_grid_index_guard(ball):
     grid = leray_norm_grid(ball, 5, 5)
-    assert grid.log_norm_sq_at(5, 5) == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(IndexOutOfTable):
-        grid.log_norm_sq_at(6, 0)
+    assert grid.log_norm_sq.shape == (6, 6)
+    assert grid.log_norm_sq[5, 5] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_egg_weights_do_not_change_norms():
@@ -303,14 +303,6 @@ def test_ray_values_are_the_entries(profile):
 def test_boundedness_requires_moderate_degree(ball):
     with pytest.raises(DomainError):
         boundedness_report(ball, 8)
-
-
-def test_axis_probe(ball):
-    probe = axis_limit_probe(ball, 0, 64)
-    assert probe.extrapolated_limit == pytest.approx(1.0, abs=1e-9)
-    assert probe.converged
-    with pytest.raises(DomainError):
-        axis_limit_probe(ball, -1, 64)
 
 
 # ---------------------------------------------------------------------------

@@ -443,8 +443,14 @@ def test_extrapolate_requires_four_terms():
 
 
 def test_extrapolation_result_type():
+    # a geometric tail: the first Aitken row is the limit exactly, so its
+    # trailing difference, err_est, is 0
     res = extrapolate_limit([1.0, 1.5, 1.75, 1.875, 1.9375])
     assert isinstance(res, ExtrapolationResult)
+    assert (res.limit, res.err_est, res.converged) == (2.0, 0.0, True)
+    # no second differences: the tail itself, whose steps do not shrink
+    res = extrapolate_limit([1.0, 2.0, 3.0, 4.0, 5.0])
+    assert (res.limit, res.err_est, res.converged) == (5.0, 1.0, False)
 
 
 # ---------------------------------------------------------------------------
